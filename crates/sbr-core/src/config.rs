@@ -90,10 +90,12 @@ pub struct SbrConfig {
     /// feature — without it the knob is inert. Only the SSE metric has the
     /// factored sufficient-statistics sweep, so other metrics ignore it.
     pub f32_prescreen: bool,
-    /// Worker threads for the independent `BestMap`/`GetBase` fan-out.
-    /// `0` (the default) means one thread per available CPU; `1` disables
-    /// threading. Results are deterministic and identical for every value —
-    /// work is sharded by index and reduced in index order.
+    /// Worker threads for the coarse-grained fan-out: `Search` probe
+    /// prefetch, `GetBase` matrix rows and the low-memory `GetBase` benefit
+    /// scans (`GetIntervals` is always serial). `0` (the default) means one
+    /// thread per available CPU; `1` disables threading. Results are
+    /// deterministic and identical for every value — work is sharded by
+    /// index and reduced in index order.
     pub num_threads: usize,
     /// Observability handles for the encode pipeline. Defaults to fully
     /// disabled (every hook a single branch); attach a live recorder with

@@ -1,6 +1,8 @@
-//! Deterministic scoped-thread fan-out for the encoder's independent
-//! subproblems (per-slot `BestMap` fits, `GetBase` error-matrix rows,
-//! `Search` probes).
+//! Deterministic scoped-thread fan-out for the encoder's coarse-grained
+//! independent subproblems: `Search` probe prefetch (one whole
+//! `GetIntervals` run per item), `GetBase` error-matrix rows and the
+//! low-memory `GetBase` benefit scans. `GetIntervals` itself stays serial,
+//! so fan-outs never nest.
 //!
 //! Work is identified by index; each worker grabs indices from a shared
 //! atomic counter, computes results locally, and the results are merged

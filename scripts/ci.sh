@@ -24,6 +24,12 @@ cargo build --workspace --release --offline
 echo "==> cargo test"
 cargo test --workspace -q --offline
 
+echo "==> perfbench tests (own workspace: metric catalogue == BENCHMARK.json)"
+# Guard: perfbench/ is its own cargo workspace, so the workspace test run
+# above never builds it. Its tests pin the binary's metric catalogue to
+# BENCHMARK.json and check the trace and tail arithmetic.
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo build -p sbr-core --no-default-features"
 # Guard: the obs facade's disabled half must keep compiling (callers are
 # cfg-free, so a drift here only surfaces on minimal builds).

@@ -98,36 +98,110 @@ fn per_sensor_streams_are_independent() {
     assert_eq!(station.chunk_count(2), 2);
 }
 
+/// Round `round` of an evolving 2×256 batch sequence.
+fn evolving_batch(round: usize) -> Vec<Vec<f64>> {
+    (0..2)
+        .map(|r| {
+            (0..256)
+                .map(|i| {
+                    ((i % 32) as f64 * 0.7 + r as f64).sin() * 5.0
+                        + ((i + round * 19) as f64 * 0.23).cos() * (round + 1) as f64
+                })
+                .collect()
+        })
+        .collect()
+}
+
 /// Encode a few evolving batches and return the exact transmitted bytes.
 fn stream_bytes(config: SbrConfig) -> Vec<Vec<u8>> {
     let mut enc = SbrEncoder::new(2, 256, config).unwrap();
     (0..4)
-        .map(|round| {
-            let rows: Vec<Vec<f64>> = (0..2)
-                .map(|r| {
-                    (0..256)
-                        .map(|i| {
-                            ((i % 32) as f64 * 0.7 + r as f64).sin() * 5.0
-                                + ((i + round * 19) as f64 * 0.23).cos() * (round + 1) as f64
-                        })
-                        .collect()
-                })
-                .collect();
-            codec::encode(&enc.encode(&rows).unwrap()).to_vec()
-        })
+        .map(|round| codec::encode(&enc.encode(&evolving_batch(round)).unwrap()).to_vec())
         .collect()
+}
+
+fn fanouts(rec: &sbr_repro::obs::MetricsRecorder) -> u64 {
+    use sbr_repro::obs::Recorder as _;
+    rec.snapshot().counter("sbr_core.par.fanouts").unwrap_or(0)
 }
 
 #[test]
 fn thread_count_never_changes_the_transmissions() {
     // The fan-out shards work by index and reduces in index order, so the
     // byte stream a sensor emits must be identical for every worker count.
+    use sbr_repro::obs::MetricsRecorder;
     let reference = stream_bytes(SbrConfig::new(200, 200).with_threads(1));
     for threads in [2usize, 8] {
-        let other = stream_bytes(SbrConfig::new(200, 200).with_threads(threads));
+        let rec = Arc::new(MetricsRecorder::new());
+        let other = stream_bytes(
+            SbrConfig::new(200, 200)
+                .with_threads(threads)
+                .with_recorder(rec.clone()),
+        );
         assert_eq!(
             reference, other,
             "num_threads = {threads} changed the output"
+        );
+        // Without a fan-out the comparison above would be serial vs serial.
+        assert!(
+            fanouts(&rec) > 0,
+            "num_threads = {threads} never fanned out"
+        );
+    }
+}
+
+#[test]
+fn get_intervals_never_fans_out() {
+    // GetIntervals is the fine grain: its fits run on the calling thread
+    // whatever the thread count, so fan-outs never nest inside a probe.
+    use sbr_repro::core::get_intervals::get_intervals;
+    use sbr_repro::core::MultiSeries;
+    use sbr_repro::obs::{MetricsRecorder, Recorder as _};
+    let rows: Vec<Vec<f64>> = (0..4)
+        .map(|r| {
+            (0..256)
+                .map(|i| ((i % 29) as f64 * 0.6 + r as f64).sin() * 4.0 + (i as f64 * 0.05).cos())
+                .collect()
+        })
+        .collect();
+    let data = MultiSeries::from_rows(&rows).unwrap();
+    let x: Vec<f64> = (0..128).map(|i| (i as f64 * 0.6).sin() * 4.0).collect();
+    let rec = Arc::new(MetricsRecorder::new());
+    let config = SbrConfig::new(400, 400)
+        .with_threads(8)
+        .with_recorder(rec.clone());
+    let approx = get_intervals(&x, &data, 400, 16, &config).unwrap();
+    assert_eq!(approx.intervals.len(), 100, "the whole budget was split");
+    assert!(
+        rec.snapshot()
+            .counter("sbr_core.best_map.calls")
+            .is_some_and(|c| c >= 100),
+        "recorder saw no BestMap activity"
+    );
+    assert_eq!(fanouts(&rec), 0, "GetIntervals fanned out");
+}
+
+#[test]
+fn one_encode_fans_out_at_most_once_per_search_level() {
+    // Threads are spawned at the coarse grain only: once for the GetBase
+    // matrix and at most once per Search recursion level (the probe
+    // prefetch). Search over `n` candidates recurses ceil(log2 n) + 1 levels.
+    use sbr_repro::obs::MetricsRecorder;
+    let rec = Arc::new(MetricsRecorder::new());
+    let config = SbrConfig::new(200, 200)
+        .with_threads(8)
+        .with_recorder(rec.clone());
+    let mut enc = SbrEncoder::new(2, 256, config.clone()).unwrap();
+    let max_ins = config.max_ins(enc.w());
+    let levels = (max_ins as f64).log2().ceil() as u64 + 1;
+    for round in 0..4 {
+        let before = fanouts(&rec);
+        enc.encode(&evolving_batch(round)).unwrap();
+        let spent = fanouts(&rec) - before;
+        assert!(spent > 0, "round {round}: encode never fanned out");
+        assert!(
+            spent <= levels + 1,
+            "round {round}: {spent} fan-outs exceed {levels} Search levels + 1 GetBase build"
         );
     }
 }
