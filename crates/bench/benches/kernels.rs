@@ -1,9 +1,8 @@
 //! Microbenchmarks of the SBR kernels: the regression fits, `BestMap`'s
-//! shift scan (direct vs FFT vs parallel), `GetIntervals` and `GetBase`.
-//! These back the complexity claims of §4.2–§4.4 (regression linear in the
-//! window, BestMap linear in `|X| × len` — or `O((|X|+len) log)` on the
-//! FFT path, GetBase `O(n^1.5)`) and calibrate the `Auto` crossover in
-//! `sbr_core::xcorr::fft_beats_direct`.
+//! shift scan and its blocked `Σ x·y` kernel, `GetIntervals` and `GetBase`
+//! (serial vs parallel). These back the complexity claims of §4.2–§4.4
+//! (regression linear in the window, BestMap linear in `|X| × len`,
+//! GetBase `O(n^1.5)`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -14,8 +13,8 @@ use sbr_core::get_base::{get_base, get_base_cached, get_base_threaded};
 use sbr_core::get_intervals::get_intervals;
 use sbr_core::obs::EncodeObs;
 use sbr_core::regression::{fit_maxabs, fit_relative, fit_sse};
-use sbr_core::xcorr::{sliding_dot_direct, XcorrPlan};
-use sbr_core::{ErrorMetric, Interval, MultiSeries, SbrConfig, ShiftStrategy};
+use sbr_core::xcorr::{dot, dot_block, DOT_BLOCK};
+use sbr_core::{ErrorMetric, Interval, MultiSeries, SbrConfig};
 
 fn signal(n: usize, seed: u64) -> Vec<f64> {
     (0..n)
@@ -60,56 +59,36 @@ fn bench_best_map(c: &mut Criterion) {
     g.finish();
 }
 
-/// The raw sliding-dot-product kernel: direct `O(|X| · len)` loop vs the
-/// FFT path (base-signal spectrum amortized via a pre-built [`XcorrPlan`],
-/// as `MapContext` holds it). The FFT/direct wall-time ratio at each size
-/// is what `xcorr::fft_beats_direct`'s cost factor encodes.
-fn bench_xcorr(c: &mut Criterion) {
-    let mut g = c.benchmark_group("xcorr");
+/// The all-shift `Σ x·y` kernel behind the SSE sweep: one scalar [`dot`]
+/// per shift vs [`dot_block`] evaluating `DOT_BLOCK` consecutive shifts at
+/// once (bit-identical lanes), over every shift of a `len`-sample window.
+fn bench_shift_dots(c: &mut Criterion) {
+    let mut g = c.benchmark_group("shift_dots");
     g.sample_size(20);
     for x_len in [512usize, 1024, 2048] {
         let x = signal(x_len, 3);
         for len in [32usize, 128, 286] {
             let y = signal(len, 4);
+            let hi = x_len - len;
             let id = format!("{x_len}x{len}");
-            g.bench_with_input(BenchmarkId::new("direct", &id), &len, |b, _| {
-                b.iter(|| sliding_dot_direct(black_box(&x), black_box(&y)))
-            });
-            let plan = XcorrPlan::new(&x);
-            g.bench_with_input(BenchmarkId::new("fft", &id), &len, |b, _| {
-                b.iter(|| plan.sliding_dot(black_box(&y)))
-            });
-        }
-        g.bench_with_input(BenchmarkId::new("plan_build", x_len), &x_len, |b, _| {
-            b.iter(|| XcorrPlan::new(black_box(&x)))
-        });
-    }
-    g.finish();
-}
-
-/// Full `BestMap` under each [`ShiftStrategy`], at the Fig. 5 shape
-/// (`|X| = 1024`, interval lengths around `W..2W`). `auto` must track the
-/// better of the other two.
-fn bench_best_map_strategies(c: &mut Criterion) {
-    let mut g = c.benchmark_group("best_map_strategy");
-    g.sample_size(20);
-    let x = signal(1024, 3);
-    let y = signal(4096, 4);
-    for len in [64usize, 143, 256] {
-        for (name, strategy) in [
-            ("direct", ShiftStrategy::Direct),
-            ("fft", ShiftStrategy::Fft),
-            ("auto", ShiftStrategy::Auto),
-        ] {
-            let config = SbrConfig::new(1 << 20, 1 << 20)
-                .with_w(143)
-                .with_shift_strategy(strategy);
-            let ctx = MapContext::new(&x, &y, &config, 143);
-            g.bench_with_input(BenchmarkId::new(name, len), &len, |b, _| {
+            g.bench_with_input(BenchmarkId::new("scalar", &id), &len, |b, _| {
                 b.iter(|| {
-                    let mut iv = Interval::unfitted(100, len);
-                    ctx.best_map(black_box(&mut iv));
-                    iv.err
+                    (0..=hi)
+                        .map(|s| dot(black_box(&x[s..s + len]), &y))
+                        .sum::<f64>()
+                })
+            });
+            g.bench_with_input(BenchmarkId::new("blocked", &id), &len, |b, _| {
+                b.iter(|| {
+                    let mut out = [0.0; DOT_BLOCK];
+                    let mut acc = 0.0;
+                    let mut s = 0;
+                    while s + DOT_BLOCK - 1 <= hi {
+                        dot_block(black_box(&x[s..s + len + DOT_BLOCK - 1]), &y, &mut out);
+                        acc += out.iter().sum::<f64>();
+                        s += DOT_BLOCK;
+                    }
+                    acc + (s..=hi).map(|s| dot(&x[s..s + len], &y)).sum::<f64>()
                 })
             });
         }
@@ -215,8 +194,7 @@ criterion_group!(
     benches,
     bench_regression,
     bench_best_map,
-    bench_xcorr,
-    bench_best_map_strategies,
+    bench_shift_dots,
     bench_get_intervals,
     bench_get_base,
     bench_get_base_cached,

@@ -11,7 +11,7 @@
 //! Besides the human-readable table, every measured configuration is
 //! written to `BENCH_SBR.json` (schema `sbr-bench/v3`, see the README).
 //! Each record embeds the run's `sbr-obs` metrics snapshot — per-phase
-//! times, shift-strategy decision counts, base-signal churn — plus a
+//! times, shift-sweep counts, base-signal churn — plus a
 //! `search` block (probe count, probe-cache hits/misses, search-phase
 //! wall time, and the measured speedup over a probe-cache-off control
 //! run of the same configuration). One extra `network_sim` record

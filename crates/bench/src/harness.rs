@@ -193,7 +193,7 @@ pub struct BenchRecord {
     /// Base intervals inserted, per transmission.
     pub inserted: Vec<usize>,
     /// Frozen `sbr-obs` metrics for this configuration's run (per-phase
-    /// durations, shift-strategy decisions, base-signal churn, network
+    /// durations, shift-sweep counts, base-signal churn, network
     /// counters, …). `None` when the run was not instrumented; serialized
     /// as JSON `null` then.
     pub metrics: Option<sbr_obs::Snapshot>,

@@ -446,32 +446,17 @@ fn render_snapshot(snap: &Snapshot, out: &mut String) {
     }
     let counters: &[(&str, &str)] = &[
         ("BestMap calls", "sbr_core.best_map.calls"),
-        ("  direct sweeps", "sbr_core.best_map.direct_sweeps"),
-        ("  FFT sweeps", "sbr_core.best_map.fft_sweeps"),
+        ("  full sweeps", "sbr_core.best_map.direct_sweeps"),
         (
-            "  FFT re-verified",
-            "sbr_core.best_map.fft_reverified_shifts",
-        ),
-        (
-            "  base-region direct",
+            "  base-region sweeps",
             "sbr_core.best_map.base_direct_sweeps",
         ),
-        ("  base-region FFT", "sbr_core.best_map.base_fft_sweeps"),
         (
-            "  cand-region direct",
+            "  cand-region sweeps",
             "sbr_core.best_map.cand_direct_sweeps",
         ),
-        ("  cand-region FFT", "sbr_core.best_map.cand_fft_sweeps"),
         ("  base-mapped wins", "sbr_core.best_map.base_wins"),
         ("  fallback wins", "sbr_core.best_map.fallback_wins"),
-        (
-            "  f32 pre-screens",
-            "sbr_core.best_map.f32_prescreen_sweeps",
-        ),
-        (
-            "  f32 re-verified",
-            "sbr_core.best_map.f32_reverified_shifts",
-        ),
         ("Search probes", "sbr_core.search.probes"),
         ("Probe-cache hits", "sbr_core.probe_cache.hits"),
         ("Probe-cache misses", "sbr_core.probe_cache.misses"),

@@ -1,21 +1,16 @@
 //! `BestMap` (Algorithm 2): find the best approximation for one data
 //! interval — either a shifted base-signal segment or the linear fall-back.
 
-use crate::config::{SbrConfig, ShiftStrategy};
+use crate::config::SbrConfig;
 use crate::interval::{Interval, LINEAR_FALLBACK_SHIFT};
 use crate::metric::ErrorMetric;
 use crate::obs::EncodeObs;
 use crate::regression::{self, PrefixStats};
-use crate::xcorr::{self, XcorrPlan};
-
-/// Shortest span (in shifts) the `f32` pre-screen will take over from the
-/// blocked f64 sweep: two passes (rank + re-verify survivors) only pay for
-/// themselves when there are enough shifts for the ranking to prune.
-const F32_PRESCREEN_MIN_SHIFTS: usize = 32;
+use crate::xcorr;
 
 /// Which stretch of the concatenated dictionary a region-restricted sweep
-/// covers — only used to attribute the direct-vs-FFT decision to the right
-/// observability counters (the fit itself is region-agnostic).
+/// covers — only used to attribute the sweep to the right observability
+/// counter (the fit itself is region-agnostic).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SweepRegion {
     /// Shifts landing fully inside the shared base prefix.
@@ -43,45 +38,14 @@ pub struct MapContext<'a> {
     /// Intervals longer than `max_shift_len` are never shifted over `X`
     /// (the paper uses `2 × W`).
     pub max_shift_len: usize,
-    /// How the SSE shift sweep is evaluated.
-    pub shift_strategy: ShiftStrategy,
-    /// Cached base-signal spectrum for the FFT kernel; `None` when the
-    /// strategy is [`ShiftStrategy::Direct`], the metric is not SSE, or the
-    /// base signal is empty.
-    pub xcorr: Option<XcorrPlan>,
-    /// `X` converted to `f32` once per context for the reduced-precision
-    /// pre-screening sweep; `None` unless the `wire_profile` feature is
-    /// compiled in **and** [`SbrConfig::f32_prescreen`] is set (off by
-    /// default). The prescreen only *ranks* shifts — winners are always
-    /// re-verified with the exact f64 summation, so enabling it never
-    /// changes the selected fit.
-    pub x_f32: Option<Vec<f32>>,
-    /// Observability handles (cloned from the configuration); counts
-    /// fits, strategy decisions and FFT re-verifications. Never affects
-    /// the fit itself.
+    /// Observability handles (cloned from the configuration); counts fits
+    /// and sweeps. Never affects the fit itself.
     pub obs: EncodeObs,
 }
 
 impl<'a> MapContext<'a> {
     /// Build a context from the configuration and the derived width `w`.
     pub fn new(x: &'a [f64], y: &'a [f64], config: &SbrConfig, w: usize) -> Self {
-        let xcorr = if config.shift_strategy != ShiftStrategy::Direct
-            && config.metric == ErrorMetric::Sse
-            && !x.is_empty()
-        {
-            Some(XcorrPlan::new(x))
-        } else {
-            None
-        };
-        let x_f32 = if cfg!(feature = "wire_profile")
-            && config.f32_prescreen
-            && config.metric == ErrorMetric::Sse
-            && !x.is_empty()
-        {
-            Some(x.iter().map(|&v| v as f32).collect())
-        } else {
-            None
-        };
         MapContext {
             x,
             x_stats: PrefixStats::new(x),
@@ -90,9 +54,6 @@ impl<'a> MapContext<'a> {
             metric: config.metric,
             allow_linear_fallback: config.allow_linear_fallback,
             max_shift_len: config.max_shift_len_factor.saturating_mul(w),
-            shift_strategy: config.shift_strategy,
-            xcorr,
-            x_f32,
             obs: config.obs.clone(),
         }
     }
@@ -123,9 +84,13 @@ impl<'a> MapContext<'a> {
         }
 
         if shiftable {
+            let hi = self.x.len() - len;
             match self.metric {
-                ErrorMetric::Sse => self.shift_loop_sse(interval, yw),
-                _ => self.shift_loop_general(interval, yw, 0, self.x.len() - len),
+                ErrorMetric::Sse => {
+                    self.obs.direct_sweeps.inc();
+                    self.shift_loop_sse_direct(interval, yw, 0, hi);
+                }
+                _ => self.shift_loop_general(interval, yw, 0, hi),
             }
         }
 
@@ -157,7 +122,7 @@ impl<'a> MapContext<'a> {
     /// partitions into the base-prefix region plus one region per appended
     /// candidate, and folding those regions in ascending order reproduces
     /// the continuous sweep bit for bit. `region` only selects which
-    /// observability counters record the direct-vs-FFT decision.
+    /// observability counter records the sweep.
     ///
     /// The caller guarantees `hi + interval.length <= self.x.len()`.
     pub fn fold_region(&self, interval: &mut Interval, lo: usize, hi: usize, region: SweepRegion) {
@@ -166,60 +131,11 @@ impl<'a> MapContext<'a> {
         if self.metric != ErrorMetric::Sse {
             return self.shift_loop_general(interval, yw, lo, hi);
         }
-        // Candidate regions span at most `W` shifts; a transform over the
-        // padded *full* dictionary can never amortize there, so only the
-        // base-prefix region consults the strategy. The evaluators are
-        // bit-identical either way — this is purely a cost decision.
-        let use_fft = region == SweepRegion::Base
-            && match self.shift_strategy {
-                ShiftStrategy::Direct => false,
-                ShiftStrategy::Fft => self.xcorr.is_some(),
-                ShiftStrategy::Auto => {
-                    self.xcorr.is_some() && {
-                        // lint:allow(panic-reachability): use_fft is only true when the FFT plan exists
-                        let plan = self.xcorr.as_ref().expect("checked above");
-                        xcorr::fft_beats_direct_span(hi - lo + 1, interval.length, plan.fft_len())
-                    }
-                }
-            };
-        let (direct_ctr, fft_ctr) = match region {
-            SweepRegion::Base => (&self.obs.base_direct_sweeps, &self.obs.base_fft_sweeps),
-            SweepRegion::Candidate => (&self.obs.cand_direct_sweeps, &self.obs.cand_fft_sweeps),
-        };
-        if use_fft {
-            fft_ctr.inc();
-            // lint:allow(panic-reachability): use_fft is only true when the FFT plan exists
-            let plan = self.xcorr.as_ref().expect("checked above");
-            self.shift_loop_sse_fft(interval, yw, plan, lo, hi);
-        } else {
-            direct_ctr.inc();
-            self.shift_loop_sse_direct(interval, yw, lo, hi);
+        match region {
+            SweepRegion::Base => self.obs.base_direct_sweeps.inc(),
+            SweepRegion::Candidate => self.obs.cand_direct_sweeps.inc(),
         }
-    }
-
-    /// SSE fast path: window sums of `X` and `Y` come from prefix stats;
-    /// only `Σ x·y` varies per shift. Dispatches between the direct
-    /// `O(B·len)` sweep and the `O((B+len) log (B+len))` FFT kernel
-    /// according to the configured [`ShiftStrategy`]; both produce
-    /// bit-identical results.
-    fn shift_loop_sse(&self, interval: &mut Interval, yw: &[f64]) {
-        let use_fft = match self.shift_strategy {
-            ShiftStrategy::Direct => false,
-            ShiftStrategy::Fft => self.xcorr.is_some(),
-            ShiftStrategy::Auto => {
-                self.xcorr.is_some() && xcorr::fft_beats_direct(self.x.len(), interval.length)
-            }
-        };
-        let hi = self.x.len() - interval.length;
-        if use_fft {
-            self.obs.fft_sweeps.inc();
-            // lint:allow(panic-reachability): use_fft is only true when the FFT plan exists
-            let plan = self.xcorr.as_ref().expect("checked above");
-            self.shift_loop_sse_fft(interval, yw, plan, 0, hi);
-        } else {
-            self.obs.direct_sweeps.inc();
-            self.shift_loop_sse_direct(interval, yw, 0, hi);
-        }
+        self.shift_loop_sse_direct(interval, yw, lo, hi);
     }
 
     /// Direct SSE sweep over shifts `lo..=hi`, evaluated in blocks of
@@ -232,20 +148,9 @@ impl<'a> MapContext<'a> {
     /// block lane accumulates in the exact index order of the scalar
     /// [`xcorr::dot`], and lanes are folded into `interval` in ascending
     /// shift order with the same strict `<`, so the selected
-    /// `(shift, a, b, err)` is bit-identical to the one-shift-at-a-time
-    /// loop this replaces. Trailing shifts that do not fill a block use the
-    /// scalar dot.
-    ///
-    /// When the reduced-precision prescreen is armed (see
-    /// [`MapContext::x_f32`]) and the span is long enough to amortize two
-    /// passes, the sweep first ranks all shifts in f32 and exactly
-    /// re-verifies the survivors — same result, fewer f64 passes.
+    /// `(shift, a, b, err)` is bit-identical to a one-shift-at-a-time
+    /// loop. Trailing shifts that do not fill a block use the scalar dot.
     fn shift_loop_sse_direct(&self, interval: &mut Interval, yw: &[f64], lo: usize, hi: usize) {
-        if let Some(x32) = &self.x_f32 {
-            if hi - lo + 1 >= F32_PRESCREEN_MIN_SHIFTS {
-                return self.shift_loop_sse_f32(interval, yw, x32, lo, hi);
-            }
-        }
         let len = interval.length;
         let sum_y = self.y_stats.window_sum(interval.start, len);
         let sum_y2 = self.y_stats.window_sum_sq(interval.start, len);
@@ -278,160 +183,6 @@ impl<'a> MapContext<'a> {
                 interval.err = f.err;
             }
         }
-    }
-
-    /// FFT SSE sweep: all `Σ x·y` values at once via cross-correlation,
-    /// then the exact re-verification pass of [`Self::filter_and_reverify`].
-    ///
-    /// The per-shift error bound is the classic `O(ε·log m·‖x‖₂·‖y‖₂)` FFT
-    /// convolution bound, inflated by ~1e4 for slack (ε ≈ 2.2e-16, so the
-    /// 1e-12 head already includes the log factor's constant many times
-    /// over). In non-degenerate cases the brackets are ~`1e-9` relative and
-    /// the re-verified set is a handful of genuine near-ties; a
-    /// pathological base (near-constant windows amplifying `s_xy/s_xx`)
-    /// only widens the set, degrading speed, never correctness.
-    fn shift_loop_sse_fft(
-        &self,
-        interval: &mut Interval,
-        yw: &[f64],
-        plan: &XcorrPlan,
-        lo: usize,
-        hi: usize,
-    ) {
-        let len = interval.length;
-        let sum_y2 = self.y_stats.window_sum_sq(interval.start, len);
-        let approx_xy = plan.sliding_dot(yw);
-        let norm_x2 = self.x_stats.window_sum_sq(0, self.x.len());
-        let log_m = (usize::BITS - plan.fft_len().leading_zeros()) as f64;
-        let d_xy = 1e-12 * log_m * (norm_x2 * sum_y2).sqrt();
-        self.filter_and_reverify(
-            interval,
-            yw,
-            lo,
-            &approx_xy[lo..=hi],
-            d_xy,
-            &self.obs.fft_reverified,
-        );
-    }
-
-    /// Reduced-precision prescreen sweep: rank every shift with a blocked
-    /// f32 `Σ x·y`, then exactly re-verify the candidates that could win.
-    ///
-    /// Ships behind the `wire_profile` feature (the f32 lane of the wire
-    /// profiles) and the off-by-default [`SbrConfig::f32_prescreen`] knob.
-    /// `d_xy` bounds the conversion-plus-summation error of an f32 dot of
-    /// `len` products via Cauchy–Schwarz (`Σ|x·y| ≤ ‖x‖₂·‖y‖₂`, with the
-    /// whole-dictionary `‖x‖₂` as a uniform upper bound over windows):
-    /// each converted product is off by at most ~3ε₃₂ relative and the
-    /// naive summation adds at most `len·ε₃₂` more, inflated 8× for slack.
-    /// Non-finite f32 sums (overflow on extreme data) produce NaN/∞ errors
-    /// whose brackets never exclude a shift, so every shift is then
-    /// re-verified exactly — slower, never wrong.
-    fn shift_loop_sse_f32(
-        &self,
-        interval: &mut Interval,
-        yw: &[f64],
-        x32: &[f32],
-        lo: usize,
-        hi: usize,
-    ) {
-        thread_local! {
-            static Y32: std::cell::RefCell<Vec<f32>> = const { std::cell::RefCell::new(Vec::new()) };
-        }
-        self.obs.f32_prescreens.inc();
-        let len = interval.length;
-        let sum_y2 = self.y_stats.window_sum_sq(interval.start, len);
-        let approx_xy: Vec<f64> = Y32.with(|cell| {
-            let mut y32 = cell.borrow_mut();
-            y32.clear();
-            y32.extend(yw.iter().map(|&v| v as f32));
-            (lo..=hi)
-                .map(|shift| {
-                    let xw = &x32[shift..shift + len];
-                    let mut acc = 0.0f32;
-                    for (xi, yi) in xw.iter().zip(y32.iter()) {
-                        acc += xi * yi;
-                    }
-                    acc as f64
-                })
-                .collect()
-        });
-        const EPS32: f64 = 5.960_464_477_539_063e-8; // 2⁻²⁴
-        let norm_x2 = self.x_stats.window_sum_sq(0, self.x.len());
-        let d_xy = 8.0 * (len as f64 + 4.0) * EPS32 * (norm_x2 * sum_y2).sqrt();
-        self.filter_and_reverify(interval, yw, lo, &approx_xy, d_xy, &self.obs.f32_reverified);
-    }
-
-    /// Shared filter-and-reverify core of the approximate sweeps (FFT and
-    /// f32 prescreen): bracket each shift's approximate error, then
-    /// re-evaluate the possible winners with the exact direct summation.
-    ///
-    /// `approx_xy[off]` approximates `Σ x·y` at shift `lo + off` with
-    /// absolute error at most `d_xy`. Selecting directly on approximations
-    /// could flip near-ties against the direct path, so they only *filter*:
-    /// pass 1 brackets each shift's error by a per-shift uncertainty
-    /// interval, pass 2 re-evaluates every shift whose lower bracket
-    /// reaches the smallest upper bracket, in ascending shift order with
-    /// the same strict `<` as the direct sweep. The exact winner always
-    /// survives the filter (its interval contains its exact error, which is
-    /// the minimum), so the selected `(shift, a, b, err)` is bit-identical
-    /// to [`Self::shift_loop_sse_direct`].
-    fn filter_and_reverify(
-        &self,
-        interval: &mut Interval,
-        yw: &[f64],
-        lo: usize,
-        approx_xy: &[f64],
-        d_xy: f64,
-        reverified_ctr: &crate::obs::Counter,
-    ) {
-        let len = interval.length;
-        let sum_y = self.y_stats.window_sum(interval.start, len);
-        let sum_y2 = self.y_stats.window_sum_sq(interval.start, len);
-
-        // Pass 1: approximate error + uncertainty bracket per shift.
-        // The fit's constant-base branch triggers on s_xx alone, which is
-        // exact (prefix sums) — both passes take the same branch, and that
-        // branch ignores Σx·y entirely, so its uncertainty is zero.
-        // Otherwise err = s_yy − (s_xy)²/s_xx, so a perturbation δ of Σx·y
-        // moves it by at most (2·|s_xy|·δ + δ²)/s_xx.
-        let mut approx = Vec::with_capacity(approx_xy.len());
-        let mut min_upper = f64::INFINITY;
-        for (off, &sum_xy) in approx_xy.iter().enumerate() {
-            let shift = lo + off;
-            let f = self.fit_at(shift, len, sum_y, sum_y2, sum_xy);
-            let sum_x = self.x_stats.window_sum(shift, len);
-            let sum_x2 = self.x_stats.window_sum_sq(shift, len);
-            let s_xx = sum_x2 - sum_x * sum_x / len as f64;
-            let u = if s_xx.abs() <= f64::EPSILON * sum_x2.abs().max(1.0) {
-                0.0
-            } else {
-                let s_xy = sum_xy - sum_x * sum_y / len as f64;
-                (2.0 * s_xy.abs() * d_xy + d_xy * d_xy) / s_xx
-            };
-            min_upper = min_upper.min(f.err + u);
-            approx.push((f.err, u));
-        }
-
-        // Pass 2: exact re-evaluation of every shift that could be the true
-        // minimum. NaN brackets (non-finite approximations) compare false
-        // here and are therefore always re-verified.
-        let mut reverified = 0u64;
-        for (shift, &(err, u)) in approx.iter().enumerate().map(|(i, v)| (lo + i, v)) {
-            if err - u > min_upper {
-                continue;
-            }
-            reverified += 1;
-            let sum_xy = xcorr::dot(&self.x[shift..shift + len], yw);
-            let f = self.fit_at(shift, len, sum_y, sum_y2, sum_xy);
-            if f.err < interval.err {
-                interval.shift = shift as i64;
-                interval.a = f.a;
-                interval.b = f.b;
-                interval.err = f.err;
-            }
-        }
-        reverified_ctr.add(reverified);
     }
 
     /// Closed-form SSE fit for one shift from the window statistics.
@@ -569,48 +320,136 @@ mod tests {
         assert!((fast.err - slow.err).abs() < 1e-9);
     }
 
+    /// Test-only reference for the SSE sweep: one scalar [`xcorr::dot`] per
+    /// shift, folded in ascending shift order with the strict `<`.
+    fn naive_best_map(c: &MapContext<'_>, interval: &mut Interval) {
+        let (start, len) = (interval.start, interval.length);
+        let shiftable = len <= c.max_shift_len && len <= c.x.len();
+        if c.allow_linear_fallback || !shiftable {
+            c.fallback_fit(interval);
+        } else {
+            interval.err = f64::INFINITY;
+        }
+        if !shiftable {
+            return;
+        }
+        let yw = &c.y[start..start + len];
+        for shift in 0..=c.x.len() - len {
+            let f = regression::fit_sse_with_stats(
+                len,
+                c.x_stats.window_sum(shift, len),
+                c.x_stats.window_sum_sq(shift, len),
+                c.y_stats.window_sum(start, len),
+                c.y_stats.window_sum_sq(start, len),
+                xcorr::dot(&c.x[shift..shift + len], yw),
+            );
+            if f.err < interval.err {
+                interval.shift = shift as i64;
+                interval.a = f.a;
+                interval.b = f.b;
+                interval.err = f.err;
+            }
+        }
+    }
+
+    fn assert_same_fit(got: &Interval, want: &Interval, what: &str) {
+        assert_eq!(got.shift, want.shift, "shift mismatch: {what}");
+        assert_eq!(got.a.to_bits(), want.a.to_bits(), "a mismatch: {what}");
+        assert_eq!(got.b.to_bits(), want.b.to_bits(), "b mismatch: {what}");
+        assert_eq!(
+            got.err.to_bits(),
+            want.err.to_bits(),
+            "err mismatch: {what}"
+        );
+    }
+
     #[test]
-    fn fft_strategy_is_bit_identical_to_direct() {
-        // Cover short, crossover-sized, and base-length windows, plus a
-        // constant-X stretch that produces exact error ties across shifts.
+    fn blocked_sweep_is_bit_identical_to_naive_reference() {
+        // A constant-X stretch produces exact error ties across shifts and a
+        // constant-Y window ties every shift (the earliest must win); the
+        // spans (B − len + 1) are not multiples of DOT_BLOCK, and one window
+        // is as long as the base itself.
         let mut x: Vec<f64> = (0..512)
             .map(|i| ((i * i % 97) as f64) * 0.3 - 11.0 + (i as f64 * 0.05).sin())
             .collect();
         for v in x[100..160].iter_mut() {
             *v = 4.0;
         }
-        let y: Vec<f64> = (0..512)
+        let mut y: Vec<f64> = (0..512)
             .map(|i| ((i * 7 % 31) as f64) - 15.0 + (i as f64 * 0.11).cos())
             .collect();
-        for (start, len) in [(0usize, 5usize), (37, 64), (100, 143), (256, 256), (0, 512)] {
-            let direct_cfg = SbrConfig::new(10_000, 1_000)
-                .with_w(256)
-                .with_shift_strategy(ShiftStrategy::Direct);
-            let fft_cfg = SbrConfig::new(10_000, 1_000)
-                .with_w(256)
-                .with_shift_strategy(ShiftStrategy::Fft);
-            let cd = MapContext::new(&x, &y, &direct_cfg, 256);
-            let cf = MapContext::new(&x, &y, &fft_cfg, 256);
-            let mut id = Interval::unfitted(start, len);
-            let mut if_ = Interval::unfitted(start, len);
-            cd.best_map(&mut id);
-            cf.best_map(&mut if_);
-            assert_eq!(id.shift, if_.shift, "shift mismatch at ({start}, {len})");
-            assert_eq!(
-                id.a.to_bits(),
-                if_.a.to_bits(),
-                "a mismatch at ({start}, {len})"
-            );
-            assert_eq!(
-                id.b.to_bits(),
-                if_.b.to_bits(),
-                "b mismatch at ({start}, {len})"
-            );
-            assert_eq!(
-                id.err.to_bits(),
-                if_.err.to_bits(),
-                "err mismatch at ({start}, {len})"
-            );
+        for v in y[300..340].iter_mut() {
+            *v = 2.5;
+        }
+        let windows = [
+            (0usize, 5usize),
+            (37, 64),
+            (100, 143),
+            (300, 20),
+            (256, 256),
+            (0, 512),
+        ];
+        // W = 32 leaves windows over 64 samples fall-back-only.
+        let configs = [
+            ("w256", SbrConfig::new(10_000, 1_000).with_w(256), 256),
+            (
+                "w256 no fallback",
+                SbrConfig::new(10_000, 1_000).with_w(256).without_fallback(),
+                256,
+            ),
+            ("w32", SbrConfig::new(10_000, 1_000).with_w(32), 32),
+        ];
+        for (label, config, w) in &configs {
+            let c = MapContext::new(&x, &y, config, *w);
+            for (start, len) in windows {
+                let mut got = Interval::unfitted(start, len);
+                let mut want = Interval::unfitted(start, len);
+                c.best_map(&mut got);
+                naive_best_map(&c, &mut want);
+                assert_same_fit(&got, &want, &format!("{label} ({start}, {len})"));
+            }
+        }
+        // The constant-Y window ties every shift exactly: earliest wins.
+        let c = MapContext::new(&x, &y, &configs[1].1, 256);
+        let mut tied = Interval::unfitted(300, 20);
+        c.best_map(&mut tied);
+        assert_eq!(tied.shift, 0, "a tie must go to the earliest shift");
+    }
+
+    #[test]
+    fn fold_region_partition_matches_one_full_sweep() {
+        // The probe cache folds a probe's shift range region by region;
+        // any ascending partition of 0..=hi must reproduce the full sweep.
+        let mut x: Vec<f64> = (0..300)
+            .map(|i| ((i * 13 % 41) as f64) - 20.0 + (i as f64 * 0.07).sin())
+            .collect();
+        for v in x[40..90].iter_mut() {
+            *v = -3.0;
+        }
+        let y: Vec<f64> = (0..120).map(|i| (i as f64 * 0.19).cos() * 5.0).collect();
+        let config = SbrConfig::new(10_000, 1_000).with_w(128);
+        let c = MapContext::new(&x, &y, &config, 128);
+        for (start, len) in [(0usize, 7usize), (10, 64), (0, 120)] {
+            let hi = x.len() - len;
+            let mut full = Interval::unfitted(start, len);
+            c.best_map(&mut full);
+            for cuts in [
+                vec![0, hi + 1],
+                vec![0, 1, 9, 17, hi + 1],
+                vec![0, 50, 51, hi + 1],
+            ] {
+                let mut folded = Interval::unfitted(start, len);
+                c.fallback_fit(&mut folded);
+                for (k, pair) in cuts.windows(2).enumerate() {
+                    let region = if k == 0 {
+                        SweepRegion::Base
+                    } else {
+                        SweepRegion::Candidate
+                    };
+                    c.fold_region(&mut folded, pair[0], pair[1] - 1, region);
+                }
+                assert_same_fit(&folded, &full, &format!("({start}, {len}) cuts {cuts:?}"));
+            }
         }
     }
 

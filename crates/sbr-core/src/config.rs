@@ -5,23 +5,6 @@ use crate::error::{Result, SbrError};
 use crate::metric::ErrorMetric;
 use crate::series::MultiSeries;
 
-/// How `BestMap` evaluates the `Σ x·y` shift sweep under the SSE metric.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShiftStrategy {
-    /// Per-interval cost-model choice between the direct loop and the FFT
-    /// cross-correlation kernel (the default; see
-    /// [`crate::xcorr::fft_beats_direct`]).
-    #[default]
-    Auto,
-    /// Always use the `O(B·len)` direct loop (the paper's Algorithm 2 as
-    /// written).
-    Direct,
-    /// Always use the FFT kernel (mainly for benchmarking it in isolation;
-    /// results are still exact — winning shifts are re-verified with the
-    /// direct summation).
-    Fft,
-}
-
 /// Configuration of an [`SbrEncoder`](crate::SbrEncoder).
 ///
 /// The paper stresses that the user/application supplies only two knobs —
@@ -60,10 +43,6 @@ pub struct SbrConfig {
     /// shortcut §4.4 recommends for constrained deployments once the
     /// dictionary has converged.
     pub update_base: bool,
-    /// How the `BestMap` SSE shift sweep is evaluated (direct loop, FFT
-    /// cross-correlation, or an automatic cost-model choice). Every
-    /// strategy produces identical output; this only affects speed.
-    pub shift_strategy: ShiftStrategy,
     /// Share fit work across the insertion-count probes of `Search` through
     /// the incremental [`ProbeCache`](crate::probe_cache::ProbeCache)
     /// (on by default). Probe `pos` and probe `pos − 1` differ only in one
@@ -83,13 +62,6 @@ pub struct SbrConfig {
     /// legacy re-fit-everything path, kept as the differential-testing
     /// oracle.
     pub get_base_fit_cache: bool,
-    /// Rank `BestMap` shift sweeps with a reduced-precision `f32` Σx·y
-    /// pre-screen before re-verifying the candidates exactly in `f64` (the
-    /// same filter-and-reverify pattern as the FFT kernel, so the output is
-    /// still bit-identical). Off by default; requires the `wire_profile`
-    /// feature — without it the knob is inert. Only the SSE metric has the
-    /// factored sufficient-statistics sweep, so other metrics ignore it.
-    pub f32_prescreen: bool,
     /// Worker threads for the coarse-grained fan-out: `Search` probe
     /// prefetch, `GetBase` matrix rows and the low-memory `GetBase` benefit
     /// scans (`GetIntervals` is always serial). `0` (the default) means one
@@ -117,17 +89,15 @@ impl SbrConfig {
             error_target: None,
             exhaustive_search: false,
             update_base: true,
-            shift_strategy: ShiftStrategy::default(),
             probe_cache: true,
             get_base_fit_cache: true,
-            f32_prescreen: false,
             num_threads: 0,
             obs: crate::obs::EncodeObs::default(),
         }
     }
 
     /// Attach a live metrics recorder (builder style): every pipeline
-    /// stage records per-phase timings, strategy decisions and
+    /// stage records per-phase timings, sweep counts and
     /// base-signal churn into it, and spans are traced when the recorder
     /// has a trace sink. Only available with the `obs` feature (on by
     /// default).
@@ -174,12 +144,6 @@ impl SbrConfig {
         self
     }
 
-    /// Set the shift-sweep evaluation strategy (builder style).
-    pub fn with_shift_strategy(mut self, strategy: ShiftStrategy) -> Self {
-        self.shift_strategy = strategy;
-        self
-    }
-
     /// Enable or disable the incremental `Search` probe cache (builder
     /// style); see [`SbrConfig::probe_cache`].
     pub fn with_probe_cache(mut self, probe_cache: bool) -> Self {
@@ -204,13 +168,6 @@ impl SbrConfig {
     /// shorthand for [`SbrConfig::with_fit_cache`]`(false)`.
     pub fn without_fit_cache(self) -> Self {
         self.with_fit_cache(false)
-    }
-
-    /// Enable or disable the `f32` shift-sweep pre-screen (builder style);
-    /// see [`SbrConfig::f32_prescreen`].
-    pub fn with_f32_prescreen(mut self, f32_prescreen: bool) -> Self {
-        self.f32_prescreen = f32_prescreen;
-        self
     }
 
     /// Set the worker-thread count (builder style); `0` = auto, `1` =

@@ -63,7 +63,6 @@ pub mod sbr;
 pub mod search;
 pub mod series;
 pub mod transmission;
-#[cfg(feature = "wire_profile")]
 pub mod wire_profile;
 pub mod xcorr;
 
@@ -72,7 +71,7 @@ pub(crate) mod par;
 pub use adaptive::{AdaptiveEncoder, Quality, QualityMonitor};
 pub use base_signal::BaseSignal;
 pub use bounds::{BoundedEncoding, ErrorBoundSpec};
-pub use config::{BaseBuilder, SbrConfig, ShiftStrategy};
+pub use config::{BaseBuilder, SbrConfig};
 pub use decoder::Decoder;
 pub use error::SbrError;
 pub use fit_cache::FitCache;

@@ -27,15 +27,9 @@
 //! | `sbr_core.probe_cache.bytes` | gauge | approximate cache footprint after `Search` |
 //! | `sbr_core.get_intervals.run_ns` | histogram | one splitting pass |
 //! | `sbr_core.best_map.calls` | counter | interval fits attempted |
-//! | `sbr_core.best_map.direct_sweeps` | counter | full SSE sweeps on the direct path |
-//! | `sbr_core.best_map.fft_sweeps` | counter | full SSE sweeps on the FFT path |
-//! | `sbr_core.best_map.base_direct_sweeps` | counter | base-prefix region sweeps, direct path |
-//! | `sbr_core.best_map.base_fft_sweeps` | counter | base-prefix region sweeps, FFT path |
-//! | `sbr_core.best_map.cand_direct_sweeps` | counter | candidate region sweeps, direct path |
-//! | `sbr_core.best_map.cand_fft_sweeps` | counter | candidate region sweeps, FFT path |
-//! | `sbr_core.best_map.fft_reverified_shifts` | counter | shifts exactly re-checked after the FFT filter |
-//! | `sbr_core.best_map.f32_prescreen_sweeps` | counter | sweeps ranked by the `f32` pre-screen |
-//! | `sbr_core.best_map.f32_reverified_shifts` | counter | shifts exactly re-checked after the `f32` filter |
+//! | `sbr_core.best_map.direct_sweeps` | counter | full SSE sweeps over the whole dictionary |
+//! | `sbr_core.best_map.base_direct_sweeps` | counter | base-prefix region sweeps (probe cache) |
+//! | `sbr_core.best_map.cand_direct_sweeps` | counter | candidate region sweeps (probe cache) |
 //! | `sbr_core.best_map.base_wins` | counter | fits won by a base mapping |
 //! | `sbr_core.best_map.fallback_wins` | counter | fits won by the linear fall-back |
 //! | `sbr_core.base_signal.inserted` | counter | base intervals inserted |
@@ -104,24 +98,12 @@ mod enabled {
         pub resync_frames: Counter,
         /// `BestMap` fits attempted.
         pub best_map_calls: Counter,
-        /// Full SSE sweeps evaluated with the direct loop.
+        /// Full SSE sweeps over the whole dictionary.
         pub direct_sweeps: Counter,
-        /// Full SSE sweeps evaluated with the FFT kernel.
-        pub fft_sweeps: Counter,
-        /// Base-prefix region sweeps evaluated with the direct loop.
+        /// Base-prefix region sweeps (probe cache).
         pub base_direct_sweeps: Counter,
-        /// Base-prefix region sweeps evaluated with the FFT kernel.
-        pub base_fft_sweeps: Counter,
-        /// Candidate region sweeps evaluated with the direct loop.
+        /// Candidate region sweeps (probe cache).
         pub cand_direct_sweeps: Counter,
-        /// Candidate region sweeps evaluated with the FFT kernel.
-        pub cand_fft_sweeps: Counter,
-        /// Shifts exactly re-verified after the FFT filter pass.
-        pub fft_reverified: Counter,
-        /// Sweeps ranked by the `f32` pre-screen before exact re-verification.
-        pub f32_prescreens: Counter,
-        /// Shifts exactly re-verified after the `f32` filter pass.
-        pub f32_reverified: Counter,
         /// Fits won by a base-signal mapping.
         pub base_wins: Counter,
         /// Fits won by the linear fall-back.
@@ -174,14 +156,8 @@ mod enabled {
                 codec_decode_ns: r.histogram("sbr_core.codec.decode_ns"),
                 best_map_calls: r.counter("sbr_core.best_map.calls"),
                 direct_sweeps: r.counter("sbr_core.best_map.direct_sweeps"),
-                fft_sweeps: r.counter("sbr_core.best_map.fft_sweeps"),
                 base_direct_sweeps: r.counter("sbr_core.best_map.base_direct_sweeps"),
-                base_fft_sweeps: r.counter("sbr_core.best_map.base_fft_sweeps"),
                 cand_direct_sweeps: r.counter("sbr_core.best_map.cand_direct_sweeps"),
-                cand_fft_sweeps: r.counter("sbr_core.best_map.cand_fft_sweeps"),
-                fft_reverified: r.counter("sbr_core.best_map.fft_reverified_shifts"),
-                f32_prescreens: r.counter("sbr_core.best_map.f32_prescreen_sweeps"),
-                f32_reverified: r.counter("sbr_core.best_map.f32_reverified_shifts"),
                 base_wins: r.counter("sbr_core.best_map.base_wins"),
                 fallback_wins: r.counter("sbr_core.best_map.fallback_wins"),
                 search_probes: r.counter("sbr_core.search.probes"),
@@ -411,24 +387,12 @@ mod disabled {
         pub resync_frames: Counter,
         /// `BestMap` fits attempted.
         pub best_map_calls: Counter,
-        /// Full SSE sweeps evaluated with the direct loop.
+        /// Full SSE sweeps over the whole dictionary.
         pub direct_sweeps: Counter,
-        /// Full SSE sweeps evaluated with the FFT kernel.
-        pub fft_sweeps: Counter,
-        /// Base-prefix region sweeps evaluated with the direct loop.
+        /// Base-prefix region sweeps (probe cache).
         pub base_direct_sweeps: Counter,
-        /// Base-prefix region sweeps evaluated with the FFT kernel.
-        pub base_fft_sweeps: Counter,
-        /// Candidate region sweeps evaluated with the direct loop.
+        /// Candidate region sweeps (probe cache).
         pub cand_direct_sweeps: Counter,
-        /// Candidate region sweeps evaluated with the FFT kernel.
-        pub cand_fft_sweeps: Counter,
-        /// Shifts exactly re-verified after the FFT filter pass.
-        pub fft_reverified: Counter,
-        /// Sweeps ranked by the `f32` pre-screen before exact re-verification.
-        pub f32_prescreens: Counter,
-        /// Shifts exactly re-verified after the `f32` filter pass.
-        pub f32_reverified: Counter,
         /// Fits won by a base-signal mapping.
         pub base_wins: Counter,
         /// Fits won by the linear fall-back.

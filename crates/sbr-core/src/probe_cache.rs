@@ -273,7 +273,6 @@ impl FitOracle for ProbeOracle<'_, '_> {
 mod tests {
     use super::*;
     use crate::base_signal::BaseSignal;
-    use crate::config::ShiftStrategy;
     use crate::metric::ErrorMetric;
 
     fn wiggle(seed: f64, len: usize) -> Vec<f64> {
@@ -284,7 +283,7 @@ mod tests {
 
     /// Exhaustively compare cached fits against fresh `MapContext` fits on
     /// every probe's dictionary prefix, for every `(start, len)` split-tree
-    /// node shape and several metrics/strategies.
+    /// node shape, every metric and with or without the fall-back.
     #[test]
     fn cached_fits_match_legacy_bit_for_bit() {
         let w = 8;
@@ -303,55 +302,46 @@ mod tests {
             ErrorMetric::relative(),
             ErrorMetric::MaxAbs,
         ] {
-            for strategy in [
-                ShiftStrategy::Auto,
-                ShiftStrategy::Direct,
-                ShiftStrategy::Fft,
-            ] {
-                for allow_fallback in [true, false] {
-                    let mut config = SbrConfig::new(1_000, 1_000)
-                        .with_w(w)
-                        .with_metric(metric)
-                        .with_shift_strategy(strategy);
-                    config.allow_linear_fallback = allow_fallback;
+            for allow_fallback in [true, false] {
+                let mut config = SbrConfig::new(1_000, 1_000).with_w(w).with_metric(metric);
+                config.allow_linear_fallback = allow_fallback;
 
-                    let mut buf = Vec::new();
-                    let refs: Vec<&[f64]> = cands.iter().map(Vec::as_slice).collect();
-                    let x_full = bs.flat_with_appended(&refs, &mut buf).to_vec();
-                    let cache = ProbeCache::new(&x_full, &data, &config, w, bs.len());
+                let mut buf = Vec::new();
+                let refs: Vec<&[f64]> = cands.iter().map(Vec::as_slice).collect();
+                let x_full = bs.flat_with_appended(&refs, &mut buf).to_vec();
+                let cache = ProbeCache::new(&x_full, &data, &config, w, bs.len());
 
-                    for pos in 0..=cands.len() {
-                        let x_pos = &x_full[..bs.len() + pos * w];
-                        let legacy_ctx = MapContext::new(x_pos, data.flat(), &config, w);
-                        for (start, len) in [
-                            (0usize, 64usize),
-                            (0, 32),
-                            (32, 32),
-                            (48, 16),
-                            (5, 7),
-                            (63, 1),
-                        ] {
-                            let mut want = Interval::unfitted(start, len);
-                            legacy_ctx.best_map(&mut want);
-                            let mut got = Interval::unfitted(start, len);
-                            cache.oracle(pos).fit(&mut got);
-                            assert_eq!(
-                                (
-                                    want.shift,
-                                    want.a.to_bits(),
-                                    want.b.to_bits(),
-                                    want.err.to_bits()
-                                ),
-                                (
-                                    got.shift,
-                                    got.a.to_bits(),
-                                    got.b.to_bits(),
-                                    got.err.to_bits()
-                                ),
-                                "mismatch at pos={pos} start={start} len={len} \
-                                 metric={metric:?} strategy={strategy:?} fallback={allow_fallback}"
-                            );
-                        }
+                for pos in 0..=cands.len() {
+                    let x_pos = &x_full[..bs.len() + pos * w];
+                    let legacy_ctx = MapContext::new(x_pos, data.flat(), &config, w);
+                    for (start, len) in [
+                        (0usize, 64usize),
+                        (0, 32),
+                        (32, 32),
+                        (48, 16),
+                        (5, 7),
+                        (63, 1),
+                    ] {
+                        let mut want = Interval::unfitted(start, len);
+                        legacy_ctx.best_map(&mut want);
+                        let mut got = Interval::unfitted(start, len);
+                        cache.oracle(pos).fit(&mut got);
+                        assert_eq!(
+                            (
+                                want.shift,
+                                want.a.to_bits(),
+                                want.b.to_bits(),
+                                want.err.to_bits()
+                            ),
+                            (
+                                got.shift,
+                                got.a.to_bits(),
+                                got.b.to_bits(),
+                                got.err.to_bits()
+                            ),
+                            "mismatch at pos={pos} start={start} len={len} \
+                             metric={metric:?} fallback={allow_fallback}"
+                        );
                     }
                 }
             }

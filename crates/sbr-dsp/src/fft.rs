@@ -184,187 +184,6 @@ pub fn idft(input: &[Complex]) -> Vec<Complex> {
         .collect()
 }
 
-// ---------------------------------------------------------------------------
-// Real-input transforms
-// ---------------------------------------------------------------------------
-
-/// Forward FFT of a real signal of power-of-two length `m ≥ 2`, returning
-/// only the non-redundant half spectrum `A[0ꓸꓸ=m/2]` (`m/2 + 1` bins; the
-/// rest follows from `A[m-k] = conj(A[k])`).
-///
-/// Internally packs even/odd samples into one complex signal of length
-/// `m/2`, so a real transform costs a *half-size* complex FFT plus an
-/// `O(m)` untangling pass — the standard trick that makes the
-/// cross-correlation kernel in `sbr-core` roughly twice as fast as going
-/// through [`fft_pow2`] on a zero-imaginary buffer.
-pub fn rfft(signal: &[f64]) -> Vec<Complex> {
-    RealFftPlan::new(signal.len()).rfft(signal)
-}
-
-/// Inverse of [`rfft`]: reconstruct the real signal of length
-/// `m = 2·(spectrum.len() − 1)` from a conjugate-symmetric half spectrum
-/// (normalization included — `irfft(rfft(x)) == x` up to roundoff). The
-/// imaginary parts of `spectrum[0]` and `spectrum[m/2]` are ignored, as
-/// symmetry forces them to zero.
-pub fn irfft(spectrum: &[Complex]) -> Vec<f64> {
-    let half = spectrum.len().saturating_sub(1);
-    assert!(
-        half >= 1 && half.is_power_of_two(),
-        "irfft requires 2^k + 1 spectrum bins"
-    );
-    RealFftPlan::new(2 * half).irfft(spectrum)
-}
-
-/// Precomputed twiddle tables for repeated real FFTs of one fixed
-/// power-of-two size `m`.
-///
-/// [`rfft`]/[`irfft`] recompute every twiddle factor (a `sin`/`cos` pair
-/// per spectrum bin, plus a sequential recurrence per butterfly) on each
-/// call. When the same transform size is applied thousands of times — the
-/// `sbr-core` cross-correlation kernel runs one forward and one inverse
-/// transform per `BestMap` shift sweep — the trigonometry dominates.
-/// Building the plan once moves all of it into two tables:
-///
-/// * `stage`: `e^{-2πik/(m/2)}` for `k < m/4`, indexed with a stride per
-///   butterfly stage of the half-size complex FFT, and
-/// * `untangle`: `e^{-2πik/m}` for `k < m/2`, used by the even/odd
-///   packing that turns one real transform into a half-size complex one.
-#[derive(Debug, Clone)]
-pub struct RealFftPlan {
-    m: usize,
-    stage: Vec<Complex>,
-    untangle: Vec<Complex>,
-}
-
-/// In-place radix-2 FFT over `buf` with the stage twiddles `tw`
-/// (`tw[k] = e^{-2πik/n}`, `k < n/2`); `forward == false` runs the inverse
-/// transform (twiddles conjugated, `1/n` normalization applied).
-fn fft_tabled(buf: &mut [Complex], tw: &[Complex], forward: bool) {
-    let n = buf.len();
-    debug_assert!(n.is_power_of_two());
-    debug_assert_eq!(tw.len(), n / 2);
-    if n <= 1 {
-        return;
-    }
-    let shift = n.leading_zeros() + 1;
-    for i in 0..n {
-        let j = i.reverse_bits() >> shift;
-        if i < j {
-            buf.swap(i, j);
-        }
-    }
-    let mut len = 2;
-    while len <= n {
-        let stride = n / len;
-        let half = len / 2;
-        for chunk in buf.chunks_mut(len) {
-            for i in 0..half {
-                let w = tw[i * stride];
-                let w = if forward { w } else { w.conj() };
-                let u = chunk[i];
-                let v = chunk[i + half] * w;
-                chunk[i] = u + v;
-                chunk[i + half] = u - v;
-            }
-        }
-        len <<= 1;
-    }
-    if !forward {
-        let inv = 1.0 / n as f64;
-        for c in buf.iter_mut() {
-            *c = c.scale(inv);
-        }
-    }
-}
-
-impl RealFftPlan {
-    /// Build the tables for real transforms of length `m` (power of two,
-    /// at least 2).
-    pub fn new(m: usize) -> Self {
-        assert!(
-            m >= 2 && m.is_power_of_two(),
-            "RealFftPlan requires a power-of-two length >= 2"
-        );
-        let half = m / 2;
-        let stage = (0..half / 2)
-            .map(|k| Complex::cis(-2.0 * std::f64::consts::PI * k as f64 / half as f64))
-            .collect();
-        let untangle = (0..half)
-            .map(|k| Complex::cis(-std::f64::consts::PI * k as f64 / half as f64))
-            .collect();
-        RealFftPlan { m, stage, untangle }
-    }
-
-    /// The transform length this plan was built for.
-    pub fn len(&self) -> usize {
-        self.m
-    }
-
-    /// Plans are never empty; mirrors [`RealFftPlan::len`] for clippy.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// As [`rfft`], reusing the precomputed tables. `signal.len()` must
-    /// equal [`RealFftPlan::len`].
-    pub fn rfft(&self, signal: &[f64]) -> Vec<Complex> {
-        let m = self.m;
-        assert_eq!(signal.len(), m, "rfft input length must match the plan");
-        let half = m / 2;
-        // z[j] = a[2j] + i·a[2j+1]
-        let mut z: Vec<Complex> = (0..half)
-            .map(|j| Complex::new(signal[2 * j], signal[2 * j + 1]))
-            .collect();
-        fft_tabled(&mut z, &self.stage, true);
-        // With E/O the half-size transforms of the even/odd samples:
-        //   E[k] = (Z[k] + conj(Z[-k]))/2,  O[k] = (Z[k] − conj(Z[-k]))/(2i),
-        //   A[k] = E[k] + W^k·O[k],         W = e^{-2πi/m}.
-        let mut out = Vec::with_capacity(half + 1);
-        for k in 0..half {
-            let zk = z[k];
-            let zmk = z[(half - k) % half].conj();
-            let e = (zk + zmk).scale(0.5);
-            let o_t = zk - zmk; // 2i·O[k]
-            let o = Complex::new(o_t.im, -o_t.re).scale(0.5); // O[k] = o_t / (2i)
-            out.push(e + self.untangle[k] * o);
-        }
-        // A[m/2] = E[0] − O[0] (W^{m/2} = −1, E and O have period m/2).
-        let e0 = z[0].re; // E[0] = Σ even samples (real)
-        let o0 = z[0].im; // O[0] = Σ odd samples (real)
-        out.push(Complex::new(e0 - o0, 0.0));
-        out
-    }
-
-    /// As [`irfft`], reusing the precomputed tables. `spectrum.len()` must
-    /// equal `len()/2 + 1`.
-    pub fn irfft(&self, spectrum: &[Complex]) -> Vec<f64> {
-        let half = self.m / 2;
-        assert_eq!(
-            spectrum.len(),
-            half + 1,
-            "irfft spectrum length must match the plan"
-        );
-        // Undo the untangling: E[k] = (A[k] + conj(A[m/2−k]))/2,
-        // O[k] = (A[k] − conj(A[m/2−k]))/2 · W^{-k}, Z[k] = E[k] + i·O[k].
-        let mut z = Vec::with_capacity(half);
-        for k in 0..half {
-            let ak = spectrum[k];
-            let amk = spectrum[half - k].conj();
-            let e = (ak + amk).scale(0.5);
-            let wo = (ak - amk).scale(0.5); // W^k·O[k]
-            let o = self.untangle[k].conj() * wo;
-            z.push(e + Complex::new(-o.im, o.re)); // E + i·O
-        }
-        fft_tabled(&mut z, &self.stage, false);
-        let mut out = Vec::with_capacity(self.m);
-        for c in z {
-            out.push(c.re);
-            out.push(c.im);
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -435,38 +254,6 @@ mod tests {
         let t_energy: f64 = x.iter().map(|c| c.norm_sq()).sum();
         let f_energy: f64 = freq.iter().map(|c| c.norm_sq()).sum::<f64>() / 96.0;
         assert!((t_energy - f_energy).abs() < 1e-7 * t_energy);
-    }
-
-    #[test]
-    fn rfft_matches_complex_fft() {
-        for m in [2usize, 4, 8, 32, 256] {
-            let x: Vec<f64> = (0..m)
-                .map(|i| (i as f64 * 0.41).sin() + 0.1 * i as f64)
-                .collect();
-            let mut full: Vec<Complex> = x.iter().map(|&v| Complex::new(v, 0.0)).collect();
-            fft_pow2(&mut full);
-            let half = rfft(&x);
-            assert_eq!(half.len(), m / 2 + 1);
-            for (k, h) in half.iter().enumerate() {
-                assert!(
-                    (*h - full[k]).abs() < 1e-9,
-                    "bin {k}: {h:?} vs {:?}",
-                    full[k]
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn rfft_roundtrip() {
-        for m in [2usize, 4, 16, 128, 1024] {
-            let x: Vec<f64> = (0..m).map(|i| ((i * 7 % 13) as f64) - 6.0).collect();
-            let back = irfft(&rfft(&x));
-            assert_eq!(back.len(), m);
-            for (a, b) in x.iter().zip(&back) {
-                assert!((a - b).abs() < 1e-9, "{a} vs {b}");
-            }
-        }
     }
 
     #[test]

@@ -1,11 +1,8 @@
 //! # Shared DSP kernels
 //!
-//! The complex FFT used to live inside `sbr-baselines`, which made it
-//! unreachable from `sbr-core` without a dependency cycle (`baselines`
-//! depends on `core`). The encoder's `BestMap` hot path now needs the FFT
-//! for its `O((B + len) log (B + len))` sliding-dot-product kernel
-//! (`sbr_core::xcorr`), so the kernel lives here: a leaf crate both sides
-//! can depend on. `sbr-baselines` re-exports [`fft`] under its old path, so
+//! The complex FFT (radix-2 plus Bluestein for arbitrary lengths) behind
+//! the transform baselines' DCT and DFT, kept in a leaf crate of its own.
+//! `sbr-baselines` re-exports [`fft`] under its old path, so
 //! `sbr_baselines::fft::...` callers are unaffected.
 
 #![warn(missing_docs)]

@@ -35,22 +35,28 @@ echo "==> cargo build -p sbr-core --no-default-features"
 # cfg-free, so a drift here only surfaces on minimal builds).
 cargo build -p sbr-core --no-default-features --offline
 
+echo "==> encoder golden pin (stream CRCs fixed across builds)"
+# Guard: the differential suites below compare two paths inside one build;
+# this pins the encoder's v2 output for fixed-seed stock streams (two SSE
+# bands, relative, max-abs, no fall-back) so a change that moves any
+# transmitted bit between builds fails.
+cargo test -q --offline --test wire_compat encoder_stream_is_pinned
+
 echo "==> probe-cache differential suite (cache on vs off, byte-identical)"
 # Guard: the Search probe cache is a pure evaluation-order optimization —
 # the cached and legacy probe paths must emit byte-identical streams.
 cargo test -q --offline --test probe_cache_diff
 
 echo "==> GetBase fit-cache differential suite (cache on vs off, byte-identical)"
-# Guard: the incremental GetBase fit cache (and the wire_profile f32
-# pre-screen) only reorder evaluation — cached, legacy and pre-screened
-# paths must emit byte-identical streams.
+# Guard: the incremental GetBase fit cache only reorders evaluation — the
+# cached and legacy paths must emit byte-identical streams.
 cargo test -q --offline --test get_base_incremental_diff
 
 echo "==> query differential suite (compressed-domain engine vs full decode)"
 # Guard: the compressed-domain query engine answers from closed-form
 # interval moments — min/max must match the decode-then-scan baseline bit
-# for bit, sums within 1e-9 relative, across metrics, strategies, thread
-# counts and recovered station indexes.
+# for bit, sums within 1e-9 relative, across metrics, thread counts and
+# recovered station indexes.
 cargo test -q --offline --test query_diff
 
 echo "==> ARQ differential suite (reliable link: ARQ log == direct delivery)"

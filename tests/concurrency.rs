@@ -2,6 +2,8 @@
 //! reason its logs sit behind `parking_lot::Mutex`), with queries running
 //! while ingest continues.
 
+mod common;
+
 use std::sync::Arc;
 
 use sbr_repro::core::{codec, SbrConfig, SbrEncoder};
@@ -231,14 +233,47 @@ fn live_recorder_never_changes_the_transmissions() {
 }
 
 #[test]
-fn shift_strategy_never_changes_the_transmissions() {
-    // The FFT kernel re-verifies winning shifts exactly, so Direct, Fft and
-    // Auto must all emit byte-identical streams.
-    use sbr_repro::core::ShiftStrategy;
-    let reference =
-        stream_bytes(SbrConfig::new(200, 200).with_shift_strategy(ShiftStrategy::Direct));
-    for strategy in [ShiftStrategy::Auto, ShiftStrategy::Fft] {
-        let other = stream_bytes(SbrConfig::new(200, 200).with_shift_strategy(strategy));
-        assert_eq!(reference, other, "{strategy:?} changed the output");
+fn transmissions_match_a_naive_reference_sweep() {
+    // Every interval the encoder ships, at any worker count, is the fit a
+    // naive sweep picks: GetIntervals over the transmission's own
+    // X_new = base ∥ updates, with each BestMap replaced by one scalar dot
+    // per shift folded in ascending shift order.
+    use sbr_repro::core::best_map::MapContext;
+    use sbr_repro::core::get_intervals::get_intervals_with;
+    use sbr_repro::core::{Decoder, FitOracle, Interval, MultiSeries};
+
+    struct Naive<'a>(MapContext<'a>);
+    impl FitOracle for Naive<'_> {
+        fn fit(&self, interval: &mut Interval) {
+            common::naive_best_map(&self.0, interval);
+        }
+    }
+
+    for threads in [1usize, 4] {
+        let config = SbrConfig::new(200, 200).with_threads(threads);
+        let mut enc = SbrEncoder::new(2, 256, config.clone()).unwrap();
+        let mut dec = Decoder::new();
+        let mut mapped = 0;
+        for round in 0..4 {
+            let data = MultiSeries::from_rows(&evolving_batch(round)).unwrap();
+            let tx = enc.encode_series(&data).unwrap();
+            let x_new = dec.peek_x_new(&tx).unwrap();
+            let w = tx.w as usize;
+            let budget = config.total_band - tx.base_updates.len() * (w + 1);
+            let naive = Naive(MapContext::new(&x_new, data.flat(), &config, w));
+            let want = get_intervals_with(&naive, &data, budget, &config).unwrap();
+            assert_eq!(tx.intervals.len(), want.intervals.len(), "round {round}");
+            for (got, want) in tx.intervals.iter().zip(&want.intervals) {
+                let want = want.record();
+                assert_eq!(
+                    (got.start, got.shift, got.a.to_bits(), got.b.to_bits()),
+                    (want.start, want.shift, want.a.to_bits(), want.b.to_bits()),
+                    "t{threads} round {round}: encoder and naive sweep disagree"
+                );
+            }
+            mapped += tx.intervals.iter().filter(|r| r.shift >= 0).count();
+            dec.decode(&tx).unwrap();
+        }
+        assert!(mapped > 0, "no interval used the base signal");
     }
 }

@@ -1,14 +1,12 @@
 //! Differential suite for the incremental `GetBase` fit cache: the cached
 //! and legacy matrix paths must produce **byte-identical** transmission
-//! streams across error metrics, shift strategies and thread counts — the
-//! memo is a pure evaluation-order optimization, never a semantic change.
-//! Plus counter-based tests pinning the reuse the tentpole claims: repeated
+//! streams across error metrics and thread counts — the memo is a pure
+//! evaluation-order optimization, never a semantic change. Plus
+//! counter-based tests pinning the reuse the tentpole claims: repeated
 //! window content must be carried across batches (fresh fits only for
-//! genuinely new pairs), and the `f32` pre-screen sweep (behind the
-//! `wire_profile` feature) must also leave the stream byte-identical — its
-//! approximations only rank shifts, the winners are re-verified exactly.
+//! genuinely new pairs).
 
-use sbr_repro::core::{codec, ErrorMetric, SbrConfig, SbrEncoder, ShiftStrategy};
+use sbr_repro::core::{codec, ErrorMetric, SbrConfig, SbrEncoder};
 use sbr_repro::obs::{MetricsRecorder, Recorder as _, Snapshot};
 use std::sync::Arc;
 
@@ -67,22 +65,11 @@ fn byte_identical_across_metrics_strategies_and_threads() {
         ErrorMetric::relative(),
         ErrorMetric::MaxAbs,
     ] {
-        for strategy in [
-            ShiftStrategy::Auto,
-            ShiftStrategy::Direct,
-            ShiftStrategy::Fft,
-        ] {
-            for threads in [1usize, 4] {
-                let config = SbrConfig::new(72, 64)
-                    .with_metric(metric)
-                    .with_shift_strategy(strategy)
-                    .with_threads(threads);
-                assert_streams_identical(
-                    &chunks,
-                    config,
-                    &format!("{metric:?}/{strategy:?}/t{threads}"),
-                );
-            }
+        for threads in [1usize, 4] {
+            let config = SbrConfig::new(72, 64)
+                .with_metric(metric)
+                .with_threads(threads);
+            assert_streams_identical(&chunks, config, &format!("{metric:?}/t{threads}"));
         }
     }
 }
@@ -160,43 +147,4 @@ fn legacy_path_reports_no_fit_cache_traffic() {
     let (_, snap) = encode_with_metrics(&chunks, SbrConfig::new(72, 64).without_fit_cache());
     assert_eq!(counter(&snap, "sbr_core.get_base.fit_cache.hits"), 0);
     assert_eq!(counter(&snap, "sbr_core.get_base.fit_cache.misses"), 0);
-}
-
-/// The `f32` pre-screen is *exact-by-construction*: it only filters the
-/// shift sweep and re-verifies survivors in f64. There is no versioned
-/// deviation to flag — the stream must be byte-identical, and the suite
-/// fails loudly if that ever regresses.
-#[cfg(feature = "wire_profile")]
-#[test]
-fn f32_prescreen_stream_is_byte_identical_and_engaged() {
-    // Long batches + forced Direct strategy so the sweeps are wide enough
-    // for the pre-screen to take over (≥ 32 shifts).
-    let chunks = stream_chunks(3, 2, 256);
-    let config = SbrConfig::new(160, 256)
-        .with_shift_strategy(ShiftStrategy::Direct)
-        .with_threads(1);
-    let exact = encode_stream(&chunks, config.clone().with_f32_prescreen(false));
-    let rec = Arc::new(MetricsRecorder::new());
-    let screened = encode_stream(
-        &chunks,
-        config.with_f32_prescreen(true).with_recorder(rec.clone()),
-    );
-    for (t, (a, b)) in exact.iter().zip(&screened).enumerate() {
-        assert_eq!(
-            a, b,
-            "transmission {t}: f32 pre-screen changed the stream — it may only rank, never select"
-        );
-    }
-    let snap = rec.snapshot();
-    let sweeps = snap
-        .counter("sbr_core.best_map.f32_prescreen_sweeps")
-        .unwrap_or(0);
-    assert!(sweeps > 0, "pre-screen must actually engage on wide sweeps");
-    let reverified = snap
-        .counter("sbr_core.best_map.f32_reverified_shifts")
-        .unwrap_or(0);
-    assert!(
-        reverified > 0,
-        "every pre-screened sweep ends in exact re-verification"
-    );
 }

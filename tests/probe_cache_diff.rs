@@ -1,6 +1,6 @@
 //! Differential suite for the `Search` probe cache: the cached and legacy
 //! probe paths must produce **byte-identical** transmission streams across
-//! error metrics, shift strategies, thread counts, and the exhaustive
+//! error metrics, thread counts, and the exhaustive
 //! search — the cache is a pure evaluation-order optimization, never a
 //! semantic change. Plus a probe-complexity test pinning the tentpole
 //! claim: cached exhaustive search pays at most one full
@@ -9,7 +9,7 @@
 
 use sbr_repro::core::base_signal::BaseSignal;
 use sbr_repro::core::search::SearchContext;
-use sbr_repro::core::{codec, ErrorMetric, MultiSeries, SbrConfig, SbrEncoder, ShiftStrategy};
+use sbr_repro::core::{codec, ErrorMetric, MultiSeries, SbrConfig, SbrEncoder};
 use sbr_repro::obs::{MetricsRecorder, Recorder as _, Snapshot};
 use std::sync::Arc;
 
@@ -69,22 +69,11 @@ fn byte_identical_across_metrics_strategies_and_threads() {
         ErrorMetric::relative(),
         ErrorMetric::MaxAbs,
     ] {
-        for strategy in [
-            ShiftStrategy::Auto,
-            ShiftStrategy::Direct,
-            ShiftStrategy::Fft,
-        ] {
-            for threads in [1usize, 4] {
-                let config = SbrConfig::new(72, 64)
-                    .with_metric(metric)
-                    .with_shift_strategy(strategy)
-                    .with_threads(threads);
-                assert_streams_identical(
-                    &chunks,
-                    config,
-                    &format!("{metric:?}/{strategy:?}/t{threads}"),
-                );
-            }
+        for threads in [1usize, 4] {
+            let config = SbrConfig::new(72, 64)
+                .with_metric(metric)
+                .with_threads(threads);
+            assert_streams_identical(&chunks, config, &format!("{metric:?}/t{threads}"));
         }
     }
 }
@@ -176,8 +165,7 @@ fn cached_exhaustive_search_does_one_getintervals_of_base_fit_work() {
 
     // The cached search never runs a full-dictionary sweep: all its fit
     // work is region-restricted.
-    let cached_full = counter(&cached, "sbr_core.best_map.direct_sweeps")
-        + counter(&cached, "sbr_core.best_map.fft_sweeps");
+    let cached_full = counter(&cached, "sbr_core.best_map.direct_sweeps");
     assert_eq!(
         cached_full, 0,
         "cached probes must not re-sweep the dictionary"
@@ -186,23 +174,20 @@ fn cached_exhaustive_search_does_one_getintervals_of_base_fit_work() {
     // Base-prefix fit work: at most one sweep per distinct (start, len) —
     // i.e. at most one full GetIntervals-equivalent across ALL probes,
     // where the legacy path pays one sweep per interval per probe.
-    let base_sweeps = counter(&cached, "sbr_core.best_map.base_direct_sweeps")
-        + counter(&cached, "sbr_core.best_map.base_fft_sweeps");
+    let base_sweeps = counter(&cached, "sbr_core.best_map.base_direct_sweeps");
     let entries = counter(&cached, "sbr_core.probe_cache.misses");
     assert!(
         base_sweeps <= entries,
         "base prefix swept {base_sweeps} times for {entries} cache entries"
     );
-    let legacy_full = counter(&legacy, "sbr_core.best_map.direct_sweeps")
-        + counter(&legacy, "sbr_core.best_map.fft_sweeps");
+    let legacy_full = counter(&legacy, "sbr_core.best_map.direct_sweeps");
     assert!(
         legacy_full >= 2 * base_sweeps,
         "sharing must beat per-probe re-fitting: legacy {legacy_full} full sweeps \
          vs cached {base_sweeps} base-region sweeps"
     );
     // Each candidate region is swept at most once per entry.
-    let cand_sweeps = counter(&cached, "sbr_core.best_map.cand_direct_sweeps")
-        + counter(&cached, "sbr_core.best_map.cand_fft_sweeps");
+    let cand_sweeps = counter(&cached, "sbr_core.best_map.cand_direct_sweeps");
     assert!(
         cand_sweeps <= entries * cands.len() as u64,
         "{cand_sweeps} candidate sweeps exceeds one region pass per candidate \

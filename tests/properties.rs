@@ -1,5 +1,7 @@
 //! Property-based tests (proptest) over the core invariants.
 
+mod common;
+
 use proptest::prelude::*;
 
 use sbr_repro::baselines::{dct, fourier, histogram, swing, v_optimal, wavelet, wavelet2d};
@@ -8,8 +10,7 @@ use sbr_repro::core::interval::IntervalRecord;
 use sbr_repro::core::query::ChunkView;
 use sbr_repro::core::transmission::{BaseUpdate, Transmission};
 use sbr_repro::core::{
-    codec, regression, xcorr, Decoder, ErrorMetric, Interval, MultiSeries, SbrConfig, SbrEncoder,
-    ShiftStrategy,
+    codec, regression, Decoder, ErrorMetric, Interval, MultiSeries, SbrConfig, SbrEncoder,
 };
 use sbr_repro::core::{quadratic, wire_profile};
 use sbr_repro::datasets::schedule::{align, expand, thin, Fill, ScheduledSignal};
@@ -459,55 +460,39 @@ proptest! {
         let _ = wire_profile::decode(&mut &frame[..]);
     }
 
-    // ---------------- xcorr / BestMap FFT kernel ----------------
+    // ---------------- BestMap shift sweep ----------------
 
-    /// FFT sliding dot products agree with the direct loop at every shift,
-    /// within a relative tolerance, on arbitrary finite signals.
+    /// The blocked SSE sweep selects the identical shift and bit-identical
+    /// coefficients as a naive one-dot-per-shift reference — on arbitrary
+    /// spans (rarely a multiple of the block width), windows longer than
+    /// `2W` or than the base (fall-back only), and a constant base signal
+    /// (every shift ties; the earliest must win).
     #[test]
-    fn xcorr_fft_matches_direct_products(
-        x in finite_signal(128),
-        y in finite_signal(128),
-    ) {
-        prop_assume!(y.len() <= x.len());
-        let plan = xcorr::XcorrPlan::new(&x);
-        let fast = plan.sliding_dot(&y);
-        let slow = xcorr::sliding_dot_direct(&x, &y);
-        prop_assert_eq!(fast.len(), slow.len());
-        let scale = slow.iter().map(|v| v.abs()).fold(1.0f64, f64::max);
-        for (s, (a, b)) in fast.iter().zip(&slow).enumerate() {
-            prop_assert!((a - b).abs() <= 1e-6 * scale, "shift {}: {} vs {}", s, a, b);
-        }
-    }
-
-    /// `BestMap` under the FFT strategy selects the identical shift and
-    /// bit-identical coefficients as the direct sweep — including windows
-    /// longer than the base (fall-back on both paths) and a constant base
-    /// signal (every shift ties; earliest must win on both paths).
-    #[test]
-    fn best_map_fft_strategy_identical_to_direct(
+    fn best_map_matches_naive_reference(
         x in finite_signal(128),
         y in finite_signal(128),
         make_x_constant in any::<bool>(),
+        allow_fallback in any::<bool>(),
+        cut in 0usize..128,
     ) {
         // W = 32 with the default ×2 factor keeps windows up to 64 samples
-        // shiftable; longer windows exercise the fall-back on both paths,
-        // as do windows longer than the base signal itself.
+        // shiftable; longer windows exercise the fall-back.
         let x = if make_x_constant { vec![7.5; x.len()] } else { x };
         let w = 32;
-        let cfg_direct = SbrConfig::new(1_000_000, 1_000_000)
-            .with_w(w)
-            .with_shift_strategy(ShiftStrategy::Direct);
-        let cfg_fft = cfg_direct.clone().with_shift_strategy(ShiftStrategy::Fft);
-        let cd = MapContext::new(&x, &y, &cfg_direct, w);
-        let cf = MapContext::new(&x, &y, &cfg_fft, w);
-        let mut iv_d = Interval::unfitted(0, y.len());
-        let mut iv_f = Interval::unfitted(0, y.len());
-        cd.best_map(&mut iv_d);
-        cf.best_map(&mut iv_f);
-        prop_assert_eq!(iv_d.shift, iv_f.shift);
-        prop_assert_eq!(iv_d.a.to_bits(), iv_f.a.to_bits());
-        prop_assert_eq!(iv_d.b.to_bits(), iv_f.b.to_bits());
-        prop_assert_eq!(iv_d.err.to_bits(), iv_f.err.to_bits());
+        let mut config = SbrConfig::new(1_000_000, 1_000_000).with_w(w);
+        config.allow_linear_fallback = allow_fallback;
+        let c = MapContext::new(&x, &y, &config, w);
+        let start = cut % y.len();
+        for (start, len) in [(0, y.len()), (start, y.len() - start)] {
+            let mut got = Interval::unfitted(start, len);
+            let mut want = Interval::unfitted(start, len);
+            c.best_map(&mut got);
+            common::naive_best_map(&c, &mut want);
+            prop_assert_eq!(got.shift, want.shift);
+            prop_assert_eq!(got.a.to_bits(), want.a.to_bits());
+            prop_assert_eq!(got.b.to_bits(), want.b.to_bits());
+            prop_assert_eq!(got.err.to_bits(), want.err.to_bits());
+        }
     }
 
     /// The swing filter's ε-guarantee holds on arbitrary finite data.

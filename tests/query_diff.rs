@@ -6,12 +6,12 @@
 //! there is no tolerance to hide behind. Sums are accumulated in a
 //! different association order (per-interval prefix moments vs. one long
 //! left-to-right fold), so sum/avg get a 1e-9 relative tolerance.
-//! The contract must hold across error metrics, shift strategies, worker
-//! thread counts, and a persisted-then-recovered base-station index.
+//! The contract must hold across error metrics, worker thread counts, and
+//! a persisted-then-recovered base-station index.
 
 use sbr_repro::core::query::aggregate_stream;
 use sbr_repro::core::{
-    codec, Aggregate, Decoder, QueryEngine, SbrConfig, SbrEncoder, ShiftStrategy, Transmission,
+    codec, Aggregate, Decoder, QueryEngine, SbrConfig, SbrEncoder, Transmission,
 };
 use sbr_repro::sensor_net::BaseStation;
 
@@ -148,8 +148,6 @@ fn agreement_holds_across_metrics_strategies_and_threads() {
     let files = chunked(2, m, 4, 0.9);
     let configs = [
         SbrConfig::new(70, 48).with_metric(sbr_repro::core::ErrorMetric::relative()),
-        SbrConfig::new(70, 48).with_shift_strategy(ShiftStrategy::Direct),
-        SbrConfig::new(70, 48).with_shift_strategy(ShiftStrategy::Fft),
         SbrConfig::new(70, 48).with_threads(1),
         SbrConfig::new(70, 48).with_threads(4),
         SbrConfig::new(70, 48).frozen_base(),

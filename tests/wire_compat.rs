@@ -5,7 +5,7 @@
 
 use sbr_repro::core::interval::IntervalRecord;
 use sbr_repro::core::transmission::{BaseUpdate, Frame, Transmission};
-use sbr_repro::core::{codec, wire_profile};
+use sbr_repro::core::{codec, wire_profile, ErrorMetric, SbrConfig, SbrEncoder};
 
 fn golden_tx() -> Transmission {
     Transmission {
@@ -183,4 +183,54 @@ fn old_frames_still_decode() {
     // And it reconstructs: ŷ = 2i + 5 over 2 samples.
     let rec = sbr_repro::core::Decoder::new().decode(&tx).unwrap();
     assert_eq!(rec, vec![vec![5.0, 7.0]]);
+}
+
+/// CRC-32 of the v2 data frames the encoder emits for a fixed-seed stock
+/// stream (6 tickers × 2048 samples in 512-sample batches, a 512-value base
+/// signal, `W` = 64), concatenated with each frame's own CRC trailer
+/// dropped: a message followed by its CRC always leaves the register in
+/// the same residue state, so hashing whole frames would hide every byte
+/// but the last frame's.
+fn encoded_stream_crc(config: SbrConfig) -> u32 {
+    let chunks = sbr_repro::datasets::stock(11, 6, 2048).chunk(512);
+    let mut enc = SbrEncoder::new(6, 512, config.with_w(64)).expect("valid config");
+    let mut stream: Vec<u8> = Vec::new();
+    for rows in &chunks {
+        let frame = codec::encode_v2(&Frame::data(0, enc.encode(rows).expect("encode")));
+        stream.extend_from_slice(&frame[..frame.len() - 4]);
+    }
+    codec::crc32(&stream)
+}
+
+#[test]
+fn encoder_stream_is_pinned() {
+    // The differential suites compare two paths inside one build; this pins
+    // the encoder's output across builds, so a change to BestMap, Search or
+    // GetBase that moves a single bit of any stream fails here.
+    let cases = [
+        ("sse 10%", SbrConfig::new(307, 512), 0x4844_d608u32),
+        ("sse 20%", SbrConfig::new(614, 512), 0x1ea6_0886),
+        (
+            "relative 20%",
+            SbrConfig::new(614, 512).with_metric(ErrorMetric::relative()),
+            0xefb6_6b04,
+        ),
+        (
+            "max-abs 20%",
+            SbrConfig::new(614, 512).with_metric(ErrorMetric::MaxAbs),
+            0xfb98_5714,
+        ),
+        (
+            "no fallback 20%",
+            SbrConfig::new(614, 512).without_fallback(),
+            0x15c4_e38f,
+        ),
+    ];
+    for (label, config, expect) in cases {
+        let crc = encoded_stream_crc(config);
+        assert_eq!(
+            crc, expect,
+            "[{label}] encoder output changed: crc {crc:#010x}"
+        );
+    }
 }
