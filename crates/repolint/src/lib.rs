@@ -15,7 +15,6 @@
 //! | `lock-discipline` | Mutex guards in `sbr-obs::timeline`/`sensor-net` not held across recorder re-entry |
 //! | `float-eq` | no `==`/`!=` against float literals outside tests |
 //! | `atomics` | raw atomics confined to `sbr-obs` (facade elsewhere) |
-//! | `obs-gate` | `sbr_obs::` paths in `sbr-core` sit behind `cfg(feature = "obs")` |
 //! | `wire-drift` | codec constants == golden bytes == DESIGN.md §3b table |
 //! | `manifest` | every locked package vendored or local; uniform `[lints]` wall |
 //! | `bad-suppression` | every `lint:allow` carries a reason |
@@ -58,7 +57,7 @@ pub fn rule_family(rule: &str) -> &'static str {
         "determinism" => "determinism",
         "lock-discipline" => "lock",
         "float-eq" => "float",
-        "atomics" | "obs-gate" => "confinement",
+        "atomics" => "confinement",
         "wire-drift" => "wire",
         "manifest" => "manifest",
         "bad-suppression" => "hygiene",

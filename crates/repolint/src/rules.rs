@@ -61,11 +61,10 @@ pub struct ScanOut {
 }
 
 /// Line ranges (1-based, inclusive) covered by `#[cfg(test)]` / `#[test]`
-/// items, and separately by `#[cfg(feature = "obs")]` items.
+/// items.
 #[derive(Debug, Default)]
 pub(crate) struct Regions {
     pub(crate) test: Vec<(u32, u32)>,
-    pub(crate) obs_gated: Vec<(u32, u32)>,
 }
 
 fn in_ranges(ranges: &[(u32, u32)], line: u32) -> bool {
@@ -134,15 +133,8 @@ pub(crate) fn find_regions(toks: &[Tok]) -> Regions {
         let is_test_attr = body.first().is_some_and(|t| is_ident(t, "test"))
             || (body.first().is_some_and(|t| is_ident(t, "cfg"))
                 && body.iter().any(|t| is_ident(t, "test")));
-        let is_obs_gate = body.first().is_some_and(|t| is_ident(t, "cfg"))
-            && body.iter().any(|t| is_ident(t, "feature"))
-            && body
-                .iter()
-                .any(|t| t.kind == TokKind::Str && t.text == "obs");
         if is_test_attr {
             regions.test.push(item_span(toks, j));
-        } else if is_obs_gate {
-            regions.obs_gated.push(item_span(toks, j));
         }
         i = j;
     }
@@ -187,9 +179,6 @@ pub(crate) fn scan_lexed(ctx: &FileCtx<'_>, lexed: &Lexed, regions: &Regions) ->
         float_eq(ctx, t, prev, next, toks.get(i + 2), &mut raw);
         if ctx.crate_dir != "sbr-obs" {
             atomics(ctx, t, prev, next, &mut raw);
-        }
-        if ctx.crate_dir == "sbr-core" && ctx.path != "crates/sbr-core/src/obs.rs" {
-            obs_gate(ctx, t, regions, &mut raw);
         }
     }
 
@@ -361,20 +350,6 @@ fn atomics(
                 "`{}` outside sbr-obs — metrics go through the sbr_core::obs facade; other uses need lint:allow(atomics)",
                 t.text
             ),
-        ));
-    }
-}
-
-/// `obs-gate`: inside `sbr-core`, direct `sbr_obs::` paths outside the
-/// facade module must sit under `#[cfg(feature = "obs")]`, or
-/// `--no-default-features` builds break.
-fn obs_gate(ctx: &FileCtx<'_>, t: &Tok, regions: &Regions, out: &mut Vec<Finding>) {
-    if t.kind == TokKind::Ident && t.text == "sbr_obs" && !in_ranges(&regions.obs_gated, t.line) {
-        out.push(finding(
-            ctx,
-            "obs-gate",
-            t.line,
-            "direct sbr_obs:: path outside the obs facade without #[cfg(feature = \"obs\")] — breaks --no-default-features".into(),
         ));
     }
 }

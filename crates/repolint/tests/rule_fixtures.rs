@@ -217,71 +217,11 @@ fn cmp_ordering_is_not_an_atomic() {
 }
 
 #[test]
-fn obs_gate_requires_cfg_feature_in_sbr_core() {
-    let ungated = "pub fn hot() { sbr_obs::trace(\"x\"); }\n";
-    assert_eq!(
-        rules_hit(&zone(), ungated),
-        vec![("obs-gate".to_string(), 1)]
-    );
-
-    let gated = "\
-#[cfg(feature = \"obs\")]
-pub fn hot() {
-    sbr_obs::trace(\"x\");
-}
-";
-    assert!(rules_hit(&zone(), gated).is_empty());
-
-    // The facade module itself and other crates are exempt.
-    let facade = FileCtx {
-        path: "crates/sbr-core/src/obs.rs",
-        crate_dir: "sbr-core",
-    };
-    assert!(rules_hit(&facade, ungated).is_empty());
-    let sensor_net = FileCtx {
-        path: "crates/sensor-net/src/node.rs",
-        crate_dir: "sensor-net",
-    };
-    assert!(rules_hit(&sensor_net, ungated).is_empty());
-}
-
-#[test]
-fn obs_gate_covers_timeline_shaped_uses() {
-    // The frame-lifecycle timeline hooks follow the same contract as the
-    // metric handles: `sbr_obs::Timeline` in a signature or body of
-    // `sbr-core` must sit under `cfg(feature = "obs")`.
-    let ungated_sig = "pub fn with_timeline(t: sbr_obs::Timeline) {}\n";
-    assert_eq!(
-        rules_hit(&zone(), ungated_sig),
-        vec![("obs-gate".to_string(), 1)]
-    );
-
-    let gated_sig = "\
-#[cfg(feature = \"obs\")]
-pub fn with_timeline(mut self, timeline: sbr_obs::Timeline) -> Self {
-    self.obs.set_timeline(timeline);
-    self
-}
-";
-    assert!(rules_hit(&zone(), gated_sig).is_empty());
-
-    // An ungated use *after* a gated item is still flagged: the gate
-    // covers exactly one item, not the rest of the file.
-    let trailing = "\
-#[cfg(feature = \"obs\")]
-pub fn gated() { sbr_obs::Timeline::noop(); }
-pub fn leaked() { sbr_obs::Timeline::noop(); }
-";
-    assert_eq!(
-        rules_hit(&zone(), trailing),
-        vec![("obs-gate".to_string(), 3)]
-    );
-}
-
-#[test]
 fn report_json_escapes_and_carries_both_lists() {
-    let mut rep = repolint::Report::default();
-    rep.files_scanned = 2;
+    let mut rep = repolint::Report {
+        files_scanned: 2,
+        ..Default::default()
+    };
     rep.findings.push(repolint::Finding {
         rule: "panic-free".into(),
         path: "crates/x/src/a.rs".into(),
@@ -331,7 +271,6 @@ fn rule_families_cover_every_rule() {
         ("lock-discipline", "lock"),
         ("float-eq", "float"),
         ("atomics", "confinement"),
-        ("obs-gate", "confinement"),
         ("wire-drift", "wire"),
         ("manifest", "manifest"),
         ("bad-suppression", "hygiene"),

@@ -99,9 +99,7 @@ impl SbrConfig {
     /// Attach a live metrics recorder (builder style): every pipeline
     /// stage records per-phase timings, sweep counts and
     /// base-signal churn into it, and spans are traced when the recorder
-    /// has a trace sink. Only available with the `obs` feature (on by
-    /// default).
-    #[cfg(feature = "obs")]
+    /// has a trace sink.
     pub fn with_recorder(mut self, recorder: std::sync::Arc<dyn sbr_obs::Recorder>) -> Self {
         self.obs = crate::obs::EncodeObs::new(recorder);
         self
@@ -111,9 +109,7 @@ impl SbrConfig {
     /// style), so encode-side events land in the same bounded ring as the
     /// network layer's. Call after [`SbrConfig::with_recorder`] —
     /// attaching a recorder rebuilds the handle bundle. Never affects the
-    /// output — only what is observed. Only available with the `obs`
-    /// feature (on by default).
-    #[cfg(feature = "obs")]
+    /// output — only what is observed.
     pub fn with_timeline(mut self, timeline: sbr_obs::Timeline) -> Self {
         self.obs.set_timeline(timeline);
         self

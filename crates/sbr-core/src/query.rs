@@ -1133,7 +1133,7 @@ mod tests {
         let mut engine = QueryEngine::from_transmissions(&txs).unwrap();
         assert_eq!(engine.len(), 4);
         assert_eq!(engine.total_samples(), 256);
-        for signal in 0..2 {
+        for (signal, column) in truth.iter().enumerate() {
             for (t0, t1) in [
                 (0usize, 256usize),
                 (30, 200),
@@ -1144,7 +1144,7 @@ mod tests {
                 let agg = engine.aggregate(signal, t0, t1).unwrap();
                 let mut d = Decoder::new();
                 let replay = aggregate_stream(&mut d, &txs, signal, t0, t1).unwrap();
-                let slice = &truth[signal][t0..t1];
+                let slice = &column[t0..t1];
                 let sum: f64 = slice.iter().sum();
                 assert!(
                     (agg.sum - sum).abs() < 1e-9 * (1.0 + sum.abs()),
@@ -1176,13 +1176,10 @@ mod tests {
 
     #[test]
     fn engine_plan_cache_shares_and_counts() {
-        #[cfg(feature = "obs")]
         use sbr_obs::{MetricsRecorder, Recorder};
         let (txs, _) = stream_fixture();
         let mut engine = QueryEngine::from_transmissions(&txs).unwrap();
-        #[cfg(feature = "obs")]
         let recorder = MetricsRecorder::new();
-        #[cfg(feature = "obs")]
         engine.set_obs(QueryObs::new(&recorder));
         assert_eq!(engine.plan_cache_len(), 0);
         engine.query(0, 10, 200, Aggregate::Sum).unwrap();
@@ -1196,13 +1193,10 @@ mod tests {
         assert!(engine.query(0, 200, 10, Aggregate::Sum).is_err());
         assert!(engine.query(9, 10, 200, Aggregate::Sum).is_err());
         assert_eq!(engine.plan_cache_len(), 2);
-        #[cfg(feature = "obs")]
-        {
-            let snap = recorder.snapshot();
-            assert_eq!(snap.counter("sbr_core.query.plan_cache.hits"), Some(2));
-            assert_eq!(snap.counter("sbr_core.query.plan_cache.misses"), Some(2));
-            assert!(snap.counter("sbr_core.query.intervals_folded").unwrap_or(0) > 0);
-        }
+        let snap = recorder.snapshot();
+        assert_eq!(snap.counter("sbr_core.query.plan_cache.hits"), Some(2));
+        assert_eq!(snap.counter("sbr_core.query.plan_cache.misses"), Some(2));
+        assert!(snap.counter("sbr_core.query.intervals_folded").unwrap_or(0) > 0);
     }
 
     #[test]

@@ -842,8 +842,8 @@ mod tests {
                 })
                 .collect();
             let mut flush = None;
-            for i in 0..64 {
-                flush = node.record(&[rows[0][i], rows[1][i]]).unwrap().or(flush);
+            for (a, b) in rows[0].iter().zip(&rows[1]) {
+                flush = node.record(&[*a, *b]).unwrap().or(flush);
             }
             frames.push(flush.unwrap().frame);
             truth.push(rows);

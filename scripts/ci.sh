@@ -30,11 +30,6 @@ echo "==> perfbench tests (own workspace: metric catalogue == BENCHMARK.json)"
 # BENCHMARK.json and check the trace and tail arithmetic.
 cargo test --offline -q --manifest-path perfbench/Cargo.toml
 
-echo "==> cargo build -p sbr-core --no-default-features"
-# Guard: the obs facade's disabled half must keep compiling (callers are
-# cfg-free, so a drift here only surfaces on minimal builds).
-cargo build -p sbr-core --no-default-features --offline
-
 echo "==> encoder golden pin (stream CRCs fixed across builds)"
 # Guard: the differential suites below compare two paths inside one build;
 # this pins the encoder's v2 output for fixed-seed stock streams (two SSE
@@ -133,8 +128,8 @@ fi
 rm -rf "$storedir"
 trap - EXIT
 
-echo "==> cargo clippy -D warnings"
-cargo clippy --workspace --offline -- -D warnings
+echo "==> cargo clippy --all-targets -D warnings"
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check

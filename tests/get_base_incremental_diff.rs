@@ -58,7 +58,7 @@ fn assert_streams_identical(chunks: &[Vec<Vec<f64>>], config: SbrConfig, label: 
 }
 
 #[test]
-fn byte_identical_across_metrics_strategies_and_threads() {
+fn byte_identical_across_metrics_and_threads() {
     let chunks = stream_chunks(5, 2, 64);
     for metric in [
         ErrorMetric::Sse,

@@ -143,7 +143,7 @@ fn split_ranges_agree_within_the_documented_bound() {
 }
 
 #[test]
-fn agreement_holds_across_metrics_strategies_and_threads() {
+fn agreement_holds_across_metrics_and_threads() {
     let m = 64;
     let files = chunked(2, m, 4, 0.9);
     let configs = [

@@ -10,7 +10,7 @@ use sbr_repro::sensor_net::storage::{
     self, sensor_dir, CheckpointState, SegmentWriter, DEFAULT_SEGMENT_BYTES, RECORD_OVERHEAD,
     SEG_HEADER,
 };
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn tempdir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("sbr-props-{tag}-{}", std::process::id()));
@@ -35,7 +35,7 @@ fn frames(n: usize) -> Vec<Bytes> {
         .collect()
 }
 
-fn fill(dir: &PathBuf, node: usize, segment_bytes: u64, fs: &[Bytes]) {
+fn fill(dir: &Path, node: usize, segment_bytes: u64, fs: &[Bytes]) {
     let mut w = SegmentWriter::open(dir, node, segment_bytes).expect("open");
     for f in fs {
         w.append(f).expect("append");
