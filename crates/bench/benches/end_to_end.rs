@@ -1,13 +1,13 @@
 //! End-to-end benchmarks: one full SBR transmission (GetBase + Search +
 //! GetIntervals + encode) at growing batch sizes and budgets — the
-//! Criterion-grade counterpart of Figure 5 — plus the wire codec and the
-//! decoder.
+//! Criterion-grade counterpart of Figure 5 — plus the v2 wire codec (the
+//! frame the network sends) and the decoder.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use sbr_core::query::ChunkView;
-use sbr_core::{codec, Decoder, SbrConfig, SbrEncoder};
+use sbr_core::{codec, Decoder, Frame, SbrConfig, SbrEncoder};
 
 fn files(n_signals: usize, m: usize) -> Vec<Vec<f64>> {
     (0..n_signals)
@@ -54,14 +54,20 @@ fn bench_codec_and_decode(c: &mut Criterion) {
     let rows = files(10, 512);
     let mut enc = SbrEncoder::new(10, 512, SbrConfig::new(512, 1024)).unwrap();
     let tx = enc.encode(&rows).unwrap();
-    let frame = codec::encode(&tx);
+    let frame = Frame::data(0, tx.clone());
+    let bytes = codec::encode_v2(&frame);
 
     let mut g = c.benchmark_group("wire");
     g.bench_function("codec_encode", |b| {
-        b.iter(|| codec::encode(black_box(&tx)).len())
+        b.iter(|| codec::encode_v2(black_box(&frame)).len())
     });
     g.bench_function("codec_decode", |b| {
-        b.iter(|| codec::decode(&mut black_box(frame.clone())).unwrap().seq)
+        b.iter(|| {
+            codec::decode_v2(&mut black_box(bytes.clone()))
+                .unwrap()
+                .tx
+                .seq
+        })
     });
     g.bench_function("decoder_reconstruct", |b| {
         b.iter(|| {

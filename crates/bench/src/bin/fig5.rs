@@ -27,7 +27,7 @@ use sbr_bench::{
     StorageStats, RATIOS,
 };
 use sbr_core::{
-    codec, query::aggregate_stream, Aggregate, Decoder, QueryEngine, QueryObs, SbrConfig,
+    codec, query::aggregate_stream, Aggregate, Decoder, Frame, QueryEngine, QueryObs, SbrConfig,
     SbrEncoder,
 };
 use sbr_obs::{MetricsRecorder, Recorder as _};
@@ -237,7 +237,10 @@ fn storage_recovery_records(quick: bool) -> Vec<BenchRecord> {
         SbrEncoder::new(n_signals, m, SbrConfig::new(band, m)).expect("storage sweep config");
     let frames: Vec<_> = files
         .iter()
-        .map(|rows| codec::encode(&encoder.encode(rows).expect("storage sweep encode")))
+        .map(|rows| {
+            let tx = encoder.encode(rows).expect("storage sweep encode");
+            codec::encode_v2(&Frame::data(0, tx))
+        })
         .collect();
 
     // ~2 KiB segments: long histories seal many segments and write many

@@ -1,20 +1,20 @@
 //! The subcommand implementations.
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufReader, BufWriter};
 use std::path::Path;
 use std::sync::Arc;
 
 use sbr_baselines::Compressor;
 use sbr_core::query::aggregate_stream;
-use sbr_core::{codec, Decoder, ErrorMetric, MultiSeries, SbrConfig, SbrEncoder};
+use sbr_core::{codec, Decoder, ErrorMetric, Frame, MultiSeries, SbrConfig, SbrEncoder};
 use sbr_obs::json::Value;
 use sbr_obs::{
     EventKind, FrameId, HistogramSnapshot, MetricsRecorder, Recorder, Snapshot, Timeline,
     DEFAULT_TIMELINE_CAPACITY,
 };
 use sensor_net::network::{Network, Strategy};
-use sensor_net::storage::{self, recover_stream};
+use sensor_net::storage::{self, recover_stream, StreamWriter};
 use sensor_net::{EnergyModel, FaultPlan, LossyLink, Topology};
 
 use crate::args::{Cli, Command, EngineKind, USAGE};
@@ -213,10 +213,11 @@ fn compress(
     if let Some(d) = dir {
         std::fs::create_dir_all(d).map_err(|e| e.to_string())?;
     }
-    // LogWriter names files itself; for the CLI we write the frames
-    // directly in the same length-prefixed format.
-    let f = File::create(out_path).map_err(|e| format!("cannot create {output}: {e}"))?;
-    let mut w = BufWriter::new(f);
+    // StreamWriter appends, so empty the file first: re-running over a
+    // path replaces the output instead of growing it.
+    File::create(out_path).map_err(|e| format!("cannot create {output}: {e}"))?;
+    let mut w =
+        StreamWriter::create(out_path).map_err(|e| format!("cannot create {output}: {e}"))?;
 
     let mut total_cost = 0usize;
     let mut total_err = 0.0f64;
@@ -233,12 +234,9 @@ fn compress(
             .last_stats()
             .ok_or_else(|| CliError::Runtime("encoder produced no batch stats".into()))?
             .total_err;
-        let frame = codec::encode(&tx);
-        w.write_all(&(frame.len() as u32).to_le_bytes())
-            .and_then(|()| w.write_all(&frame))
-            .map_err(|e| e.to_string())?;
+        w.append(&codec::encode_v2(&Frame::data(0, tx)))
+            .map_err(|e| format!("cannot write {output}: {e}"))?;
     }
-    w.flush().map_err(|e| e.to_string())?;
 
     let mut notes = String::new();
     if let (Some(rec), Some(path)) = (&recorder, metrics_out) {
@@ -1211,6 +1209,45 @@ mod tests {
         }
         let energy: f64 = orig.columns.iter().flatten().map(|v| v * v).sum();
         assert!(sse < 0.05 * energy, "sse {sse} vs energy {energy}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn recompress_replaces_the_output_and_frames_are_crc_checked() {
+        let dir = tempdir("recompress");
+        let csv_in = dir.join("in.csv");
+        let stream = dir.join("out.sbr");
+        let csv_out = dir.join("rec.csv");
+        write_sample_csv(&csv_in, 256);
+        let compress = format!(
+            "compress --input {} --output {} --band 96 --batch 128",
+            csv_in.display(),
+            stream.display()
+        );
+        let decompress = format!(
+            "decompress --input {} --output {}",
+            stream.display(),
+            csv_out.display()
+        );
+        run_argv(&compress).unwrap();
+        let once = std::fs::read(&stream).unwrap();
+        run_argv(&compress).unwrap();
+        assert_eq!(
+            std::fs::read(&stream).unwrap(),
+            once,
+            "re-run must not append"
+        );
+        let msg = run_argv(&decompress).unwrap();
+        assert!(msg.starts_with("decompressed 2 transmissions"), "{msg}");
+        assert!(msg.contains("256 samples × 2 signals"), "{msg}");
+
+        // One flipped bit inside the first frame's payload fails the CRC.
+        let mut bad = once.clone();
+        bad[100] ^= 0x01;
+        std::fs::write(&stream, &bad).unwrap();
+        let err = run_argv(&decompress).unwrap_err();
+        assert_eq!(err.exit_code(), 1, "{err:?}");
+        assert!(err.message().contains("crc mismatch"), "{err:?}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -4,7 +4,7 @@
 //! radio counts bytes. This module provides lossy-but-bounded byte-level
 //! profiles on top of the exact [`crate::codec`] frame:
 //!
-//! * [`Profile::F64`] — the exact frame (8 bytes/value),
+//! * [`Profile::F64`] — the exact v2 data frame (8 bytes/value),
 //! * [`Profile::F32`] — regression parameters and base samples as `f32`
 //!   (4 bytes/value; relative error ≤ 2⁻²⁴ per value),
 //! * [`Profile::Q16`] — base samples and intercepts quantized to 16-bit
@@ -22,7 +22,7 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use crate::codec;
 use crate::error::{Result, SbrError};
 use crate::interval::IntervalRecord;
-use crate::transmission::{BaseUpdate, Transmission};
+use crate::transmission::{BaseUpdate, Frame, FrameKind, Transmission};
 
 /// Outer magic for profiled frames ("SBRP").
 pub const PROFILE_MAGIC: u32 = 0x5342_5250;
@@ -30,7 +30,7 @@ pub const PROFILE_MAGIC: u32 = 0x5342_5250;
 /// Value-precision profile of a wire frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Profile {
-    /// Exact `f64` payload (wraps the plain codec frame).
+    /// Exact `f64` payload (wraps an epoch-0 v2 data frame).
     F64,
     /// `f32` payload.
     F32,
@@ -76,7 +76,7 @@ pub fn encode(tx: &Transmission, profile: Profile) -> Bytes {
     buf.put_u8(profile.id());
     match profile {
         Profile::F64 => {
-            buf.extend_from_slice(&codec::encode(tx));
+            buf.extend_from_slice(&codec::encode_v2(&Frame::data(0, tx.clone())));
         }
         Profile::F32 => encode_f32(tx, &mut buf),
         Profile::Q16 => encode_q16(tx, &mut buf),
@@ -97,7 +97,14 @@ pub fn decode(buf: &mut impl Buf) -> Result<Transmission> {
     }
     let profile = Profile::from_id(buf.get_u8())?;
     match profile {
-        Profile::F64 => codec::decode(buf),
+        Profile::F64 => match codec::decode_any(buf)? {
+            Frame {
+                kind: FrameKind::Data,
+                tx,
+                ..
+            } => Ok(tx),
+            _ => Err(SbrError::Corrupt("F64 profile wraps a resync frame".into())),
+        },
         Profile::F32 => decode_f32(buf),
         Profile::Q16 => decode_q16(buf),
     }

@@ -821,7 +821,7 @@ mod tests {
                             .collect()
                     })
                     .collect();
-                codec::encode(&enc.encode(&rows).unwrap())
+                codec::encode_v2(&Frame::data(0, enc.encode(&rows).unwrap()))
             })
             .collect()
     }

@@ -37,9 +37,13 @@
 //! rest and recovery reports [`SbrError::InconsistentState`]; framing or
 //! CRC damage reports [`SbrError::Corrupt`] naming the damaged file.
 //!
-//! The legacy single-file stream format (`u32 LE len ∥ frame`, no CRC)
-//! survives as [`StreamWriter`]/[`recover_stream`] — it is the `.sbr`
-//! interchange format `sbr compress`/`sbr decompress` speak.
+//! The legacy single-file stream format (`u32 LE len ∥ frame`) survives
+//! as [`StreamWriter`]/[`recover_stream`] — it is the `.sbr` interchange
+//! format `sbr compress`/`sbr decompress` speak. Its length prefix has no
+//! CRC of its own; the frames it carries are written as CRC-checked v2,
+//! so a damaged payload fails to decode instead of replaying silently
+//! (v1 frames in older files still read, unchecked, via
+//! [`codec::decode_any`]).
 
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
@@ -1271,7 +1275,8 @@ impl SegmentWriter {
 // --- legacy single-file stream format (`.sbr` interchange) ---
 
 /// Append-only writer for the legacy single-file frame stream
-/// (`u32 LE len ∥ frame`) — the `.sbr` interchange format.
+/// (`u32 LE len ∥ frame`) — the `.sbr` interchange format. Callers hand
+/// it v2 frames; the writer itself does not look inside them.
 #[derive(Debug)]
 pub struct StreamWriter {
     path: PathBuf,
@@ -1373,7 +1378,7 @@ pub fn recover_stream(path: &Path) -> Result<RecoveredLog, SbrError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sbr_core::{Decoder, SbrConfig, SbrEncoder};
+    use sbr_core::{Decoder, Frame, SbrConfig, SbrEncoder};
 
     fn tempdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("sbrseg-test-{tag}-{}", std::process::id()));
@@ -1392,7 +1397,7 @@ mod tests {
                             .collect()
                     })
                     .collect();
-                codec::encode(&enc.encode(&rows).unwrap())
+                codec::encode_v2(&Frame::data(0, enc.encode(&rows).unwrap()))
             })
             .collect()
     }

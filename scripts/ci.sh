@@ -128,6 +128,33 @@ fi
 rm -rf "$storedir"
 trap - EXIT
 
+echo "==> .sbr corruption negative smoke (a flipped payload bit must exit nonzero)"
+# Guard: `sbr compress` writes CRC-checked v2 frames, so one flipped bit
+# inside the first frame's payload (byte 100: past the 4-byte length
+# prefix and the 41-byte v2 header) must fail `sbr decompress` instead of
+# writing a different CSV.
+sbrdir="$(mktemp -d)"
+trap 'rm -rf "$sbrdir"' EXIT
+cargo run -p sbr-cli --release --offline --bin sbr -- generate \
+  --dataset weather --output "$sbrdir/w.csv" --len 2048 --seed 9 > /dev/null
+cargo run -p sbr-cli --release --offline --bin sbr -- compress \
+  --input "$sbrdir/w.csv" --output "$sbrdir/w.sbr" --band 1228 --batch 1024 > /dev/null
+cargo run -p sbr-cli --release --offline --bin sbr -- decompress \
+  --input "$sbrdir/w.sbr" --output "$sbrdir/rec.csv" > /dev/null
+python3 - "$sbrdir/w.sbr" <<'EOF'
+import sys
+p = sys.argv[1]
+raw = bytearray(open(p, "rb").read())
+raw[100] ^= 0x01
+open(p, "wb").write(raw)
+EOF
+if cargo run -p sbr-cli --release --offline --bin sbr -- decompress \
+    --input "$sbrdir/w.sbr" --output "$sbrdir/rec.csv" > /dev/null 2>&1; then
+  echo "sbr decompress accepted a .sbr with a flipped payload bit" >&2; exit 1
+fi
+rm -rf "$sbrdir"
+trap - EXIT
+
 echo "==> cargo clippy --all-targets -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 

@@ -6,7 +6,7 @@ mod common;
 
 use std::sync::Arc;
 
-use sbr_repro::core::{codec, SbrConfig, SbrEncoder};
+use sbr_repro::core::{codec, Frame, SbrConfig, SbrEncoder};
 use sbr_repro::sensor_net::BaseStation;
 
 fn sensor_frames(sensor: u64, chunks: usize) -> Vec<bytes::Bytes> {
@@ -22,7 +22,7 @@ fn sensor_frames(sensor: u64, chunks: usize) -> Vec<bytes::Bytes> {
                         .collect()
                 })
                 .collect();
-            codec::encode(&enc.encode(&rows).unwrap())
+            codec::encode_v2(&Frame::data(0, enc.encode(&rows).unwrap()))
         })
         .collect()
 }
@@ -118,7 +118,9 @@ fn evolving_batch(round: usize) -> Vec<Vec<f64>> {
 fn stream_bytes(config: SbrConfig) -> Vec<Vec<u8>> {
     let mut enc = SbrEncoder::new(2, 256, config).unwrap();
     (0..4)
-        .map(|round| codec::encode(&enc.encode(&evolving_batch(round)).unwrap()).to_vec())
+        .map(|round| {
+            codec::encode_v2(&Frame::data(0, enc.encode(&evolving_batch(round)).unwrap())).to_vec()
+        })
         .collect()
 }
 

@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: sensor → wire → base station → historical
 //! reconstruction, over generated datasets.
 
-use sbr_repro::core::{codec, Decoder, ErrorMetric, SbrConfig, SbrEncoder};
+use sbr_repro::core::{codec, Decoder, ErrorMetric, Frame, SbrConfig, SbrEncoder};
 use sbr_repro::sensor_net::{BaseStation, EnergyModel, Network, Strategy, Topology};
 
 fn weather_files(seed: u64, file_len: usize, files: usize) -> Vec<Vec<Vec<f64>>> {
@@ -22,8 +22,8 @@ fn ten_transmission_stream_roundtrips_within_budget() {
         assert!(tx.cost() <= band, "tx {t} cost {} > {band}", tx.cost());
 
         // Through the wire format.
-        let frame = codec::encode(&tx);
-        let parsed = codec::decode(&mut frame.clone()).unwrap();
+        let frame = codec::encode_v2(&Frame::data(0, tx.clone()));
+        let parsed = codec::decode_v2(&mut frame.clone()).unwrap().tx;
         assert_eq!(parsed, tx);
 
         let rec = dec.decode(&parsed).unwrap();
@@ -80,7 +80,9 @@ fn base_station_reconstruction_is_stable_across_replays() {
     let station = BaseStation::new();
     for rows in &files {
         let tx = enc.encode(rows).unwrap();
-        station.receive(1, codec::encode(&tx)).unwrap();
+        station
+            .receive(1, codec::encode_v2(&Frame::data(0, tx)))
+            .unwrap();
     }
     let a = station.reconstruct_chunks(1, 0, 5).unwrap();
     let b = station.reconstruct_chunks(1, 0, 5).unwrap();
@@ -149,9 +151,9 @@ fn max_abs_bound_survives_the_full_pipeline() {
     for rows in &files {
         let tx = enc.encode(rows).unwrap();
         let bound = enc.last_stats().unwrap().total_err;
-        let frame = codec::encode(&tx);
+        let frame = codec::encode_v2(&Frame::data(0, tx));
         let rec = dec
-            .decode(&codec::decode(&mut frame.clone()).unwrap())
+            .decode(&codec::decode_v2(&mut frame.clone()).unwrap().tx)
             .unwrap();
         for (o, r) in rows.iter().zip(&rec) {
             let worst = ErrorMetric::MaxAbs.score(o, r);

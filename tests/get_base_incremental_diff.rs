@@ -6,7 +6,7 @@
 //! window content must be carried across batches (fresh fits only for
 //! genuinely new pairs).
 
-use sbr_repro::core::{codec, ErrorMetric, SbrConfig, SbrEncoder};
+use sbr_repro::core::{codec, ErrorMetric, Frame, SbrConfig, SbrEncoder};
 use sbr_repro::obs::{MetricsRecorder, Recorder as _, Snapshot};
 use std::sync::Arc;
 
@@ -41,7 +41,7 @@ fn encode_stream(chunks: &[Vec<Vec<f64>>], config: SbrConfig) -> Vec<Vec<u8>> {
     let mut enc = SbrEncoder::new(n, m, config).expect("valid config");
     chunks
         .iter()
-        .map(|rows| codec::encode(&enc.encode(rows).expect("encode")).to_vec())
+        .map(|rows| codec::encode_v2(&Frame::data(0, enc.encode(rows).expect("encode"))).to_vec())
         .collect()
 }
 
@@ -91,7 +91,9 @@ fn byte_identical_with_low_memory_builder() {
                     .expect("valid config");
             chunks
                 .iter()
-                .map(|rows| codec::encode(&enc.encode(rows).expect("encode")).to_vec())
+                .map(|rows| {
+                    codec::encode_v2(&Frame::data(0, enc.encode(rows).expect("encode"))).to_vec()
+                })
                 .collect()
         };
         let cached = encode_with(true);

@@ -9,7 +9,7 @@
 
 use sbr_repro::core::base_signal::BaseSignal;
 use sbr_repro::core::search::SearchContext;
-use sbr_repro::core::{codec, ErrorMetric, MultiSeries, SbrConfig, SbrEncoder};
+use sbr_repro::core::{codec, ErrorMetric, Frame, MultiSeries, SbrConfig, SbrEncoder};
 use sbr_repro::obs::{MetricsRecorder, Recorder as _, Snapshot};
 use std::sync::Arc;
 
@@ -45,7 +45,7 @@ fn encode_stream(chunks: &[Vec<Vec<f64>>], config: SbrConfig) -> Vec<Vec<u8>> {
     let mut enc = SbrEncoder::new(n, m, config).expect("valid config");
     chunks
         .iter()
-        .map(|rows| codec::encode(&enc.encode(rows).expect("encode")).to_vec())
+        .map(|rows| codec::encode_v2(&Frame::data(0, enc.encode(rows).expect("encode"))).to_vec())
         .collect()
 }
 

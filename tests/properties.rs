@@ -8,7 +8,7 @@ use sbr_repro::baselines::{dct, fourier, histogram, swing, v_optimal, wavelet, w
 use sbr_repro::core::best_map::MapContext;
 use sbr_repro::core::interval::IntervalRecord;
 use sbr_repro::core::query::ChunkView;
-use sbr_repro::core::transmission::{BaseUpdate, Transmission};
+use sbr_repro::core::transmission::{BaseUpdate, Frame, Transmission};
 use sbr_repro::core::{
     codec, regression, Decoder, ErrorMetric, Interval, MultiSeries, SbrConfig, SbrEncoder,
 };
@@ -160,10 +160,14 @@ proptest! {
 
     // ---------------- wire codec ----------------
 
-    /// The codec roundtrips arbitrary well-formed transmissions.
+    /// The v2 codec roundtrips arbitrary well-formed data and resync
+    /// frames, and its size formula matches the bytes written.
     #[test]
     fn codec_roundtrip(
         seq in 0u64..1_000_000,
+        epoch in any::<u32>(),
+        resync in any::<bool>(),
+        snapshot_slots in 0usize..4,
         w in 1u32..16,
         n_updates in 0usize..4,
         intervals in prop::collection::vec(
@@ -187,10 +191,18 @@ proptest! {
                 .map(|&(start, shift, a, b)| IntervalRecord { start, shift, a, b })
                 .collect(),
         };
-        let bytes = codec::encode(&tx);
-        prop_assert_eq!(bytes.len(), codec::encoded_len(&tx));
-        let back = codec::decode(&mut bytes.clone()).unwrap();
-        prop_assert_eq!(back, tx);
+        let frame = if resync {
+            let snapshot = (0..snapshot_slots * w as usize).map(|i| i as f64 - 0.25).collect();
+            Frame::resync(epoch, snapshot, tx)
+        } else {
+            Frame::data(epoch, tx)
+        };
+        let bytes = codec::encode_v2(&frame);
+        prop_assert_eq!(bytes.len(), codec::encoded_len_v2(&frame));
+        let mut buf = bytes.clone();
+        let back = codec::decode_v2(&mut buf).unwrap();
+        prop_assert_eq!(back, frame);
+        prop_assert_eq!(buf.len(), 0);
     }
 
     // ---------------- encoder invariants ----------------
@@ -435,24 +447,27 @@ proptest! {
         prop_assert!((hi - dhi).abs() <= 1e-9 * scale);
     }
 
-    /// Arbitrary bytes never panic the codec — they error or (by fluke)
-    /// parse.
+    /// Arbitrary bytes never panic the decoder receivers use — they error
+    /// or (by fluke) parse.
     #[test]
     fn codec_never_panics_on_garbage(bytes in prop::collection::vec(any::<u8>(), 0..300)) {
-        let _ = codec::decode(&mut &bytes[..]);
+        let _ = codec::decode_any(&mut &bytes[..]);
         let _ = wire_profile::decode(&mut &bytes[..]);
     }
 
-    /// Garbage *after* a valid magic/profile id still never panics.
+    /// Garbage *after* a valid magic/profile id still never panics: both
+    /// the v1 ("SBR1") and the v2 ("SBR2") body parsers get random bytes.
     #[test]
     fn codec_never_panics_on_framed_garbage(
         body in prop::collection::vec(any::<u8>(), 0..200),
+        v2 in any::<bool>(),
         profile_id in 0u8..4,
     ) {
+        let magic: u32 = if v2 { 0x5342_5232 } else { 0x5342_5231 };
         let mut frame = Vec::new();
-        frame.extend(0x5342_5231u32.to_le_bytes());
+        frame.extend(magic.to_le_bytes());
         frame.extend(&body);
-        let _ = codec::decode(&mut &frame[..]);
+        let _ = codec::decode_any(&mut &frame[..]);
         let mut frame = Vec::new();
         frame.extend(0x5342_5250u32.to_le_bytes());
         frame.push(profile_id);

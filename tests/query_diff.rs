@@ -11,7 +11,7 @@
 
 use sbr_repro::core::query::aggregate_stream;
 use sbr_repro::core::{
-    codec, Aggregate, Decoder, QueryEngine, SbrConfig, SbrEncoder, Transmission,
+    codec, Aggregate, Decoder, Frame, QueryEngine, SbrConfig, SbrEncoder, Transmission,
 };
 use sbr_repro::sensor_net::BaseStation;
 
@@ -176,7 +176,9 @@ fn station_index_agrees_after_recover() {
     {
         let station = BaseStation::with_persistence(&dir);
         for tx in &txs {
-            station.receive(9, codec::encode(tx)).expect("receive");
+            station
+                .receive(9, codec::encode_v2(&Frame::data(0, tx.clone())))
+                .expect("receive");
         }
     }
     // A cold process: the log is re-ingested from disk and the chunk

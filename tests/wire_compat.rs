@@ -2,10 +2,18 @@
 //! contract between deployed sensors and base stations. These golden tests
 //! pin the exact bytes of known transmissions so accidental format changes
 //! fail loudly instead of corrupting fleets in the field.
+//!
+//! Every writer emits v2. The v1 layout is read-only: its golden bytes
+//! below are a read pin (`codec::decode_any` must keep parsing them), and
+//! the v1 bytes the other compat tests feed in come from [`v1::frame`].
 
+mod v1;
+
+use bytes::Bytes;
 use sbr_repro::core::interval::IntervalRecord;
-use sbr_repro::core::transmission::{BaseUpdate, Frame, Transmission};
-use sbr_repro::core::{codec, wire_profile, ErrorMetric, SbrConfig, SbrEncoder};
+use sbr_repro::core::transmission::{BaseUpdate, Frame, FrameKind, Transmission};
+use sbr_repro::core::{codec, wire_profile, ErrorMetric, SbrConfig, SbrEncoder, SbrError};
+use sbr_repro::sensor_net::BaseStation;
 
 fn golden_tx() -> Transmission {
     Transmission {
@@ -36,8 +44,8 @@ fn golden_tx() -> Transmission {
 
 #[test]
 fn codec_bytes_are_pinned() {
-    let bytes = codec::encode(&golden_tx());
-    // Header: magic, seq, n, m, w, nu, ni.
+    // The v1 golden, spelled out byte for byte. Header: magic, seq, n, m,
+    // w, nu, ni.
     let mut expect: Vec<u8> = Vec::new();
     expect.extend(0x5342_5231u32.to_le_bytes()); // "SBR1"
     expect.extend(7u64.to_le_bytes());
@@ -59,15 +67,26 @@ fn codec_bytes_are_pinned() {
     expect.extend(0i64.to_le_bytes());
     expect.extend(1.0f64.to_le_bytes());
     expect.extend(0.0f64.to_le_bytes());
-    assert_eq!(bytes.as_ref(), expect.as_slice(), "codec layout changed!");
+    // Read pin: the golden bytes decode as an epoch-0 data frame ...
+    let frame = codec::decode_any(&mut &expect[..]).expect("v1 golden must decode");
+    assert_eq!(frame, Frame::data(0, golden_tx()));
+    // ... and the test helper every other v1 test uses emits exactly them.
+    assert_eq!(v1::frame(&golden_tx()), expect, "v1 helper drifted");
 }
 
 #[test]
 fn codec_size_formula_is_pinned() {
     let tx = golden_tx();
-    // 32-byte header + (8 + 8·W) per update + 32 per interval.
-    assert_eq!(codec::encoded_len(&tx), 32 + (8 + 16) + 2 * 32);
-    assert_eq!(codec::encode(&tx).len(), codec::encoded_len(&tx));
+    // v2 data frame: 41-byte header + (8 + 8·W) per update + 32 per
+    // interval + 4-byte CRC.
+    let frame = Frame::data(0, tx.clone());
+    assert_eq!(codec::encoded_len_v2(&frame), 41 + (8 + 16) + 2 * 32 + 4);
+    assert_eq!(
+        codec::encode_v2(&frame).len(),
+        codec::encoded_len_v2(&frame)
+    );
+    // A v1 frame is 13 bytes shorter: no kind, epoch, snapshot count or CRC.
+    assert_eq!(v1::frame(&tx).len(), codec::encoded_len_v2(&frame) - 13);
 }
 
 #[test]
@@ -155,9 +174,105 @@ fn v2_data_frames_are_pinned() {
 fn decode_any_wraps_v1_frames_as_epoch_zero_data() {
     // A station that speaks v2 must still ingest v1 fleet traffic: the
     // compat path wraps it in the trivial envelope.
-    let v1 = codec::encode(&golden_tx());
-    let frame = codec::decode_any(&mut v1.clone()).expect("v1 via decode_any");
+    let v1 = v1::frame(&golden_tx());
+    let frame = codec::decode_any(&mut &v1[..]).expect("v1 via decode_any");
     assert_eq!(frame, Frame::data(0, golden_tx()));
+}
+
+#[test]
+fn v1_truncation_and_zero_dimensions_are_rejected() {
+    let v1 = v1::frame(&golden_tx());
+    for cut in 0..v1.len() {
+        assert!(
+            codec::decode_any(&mut &v1[..cut]).is_err(),
+            "v1 cut at {cut} must fail"
+        );
+    }
+    // n, m and w sit at bytes 12, 16 and 20 of the v1 header.
+    for at in [12, 16, 20] {
+        let mut zeroed = v1.clone();
+        zeroed[at..at + 4].copy_from_slice(&0u32.to_le_bytes());
+        let err = codec::decode_any(&mut &zeroed[..]).unwrap_err();
+        assert!(
+            matches!(&err, SbrError::Corrupt(m) if m.contains("zero dimension")),
+            "{err}"
+        );
+    }
+}
+
+#[test]
+fn mixed_version_frames_parse_back_to_back() {
+    // decode_any consumes exactly one frame of either version, so a log
+    // that crossed the v1 → v2 upgrade replays in order.
+    let resync = Frame::resync(3, vec![0.25, -4.0], golden_tx());
+    let data = Frame::data(4, golden_tx());
+    let mut stream = v1::frame(&golden_tx());
+    stream.extend_from_slice(&codec::encode_v2(&resync));
+    stream.extend_from_slice(&codec::encode_v2(&data));
+    let mut buf = &stream[..];
+    assert_eq!(
+        codec::decode_any(&mut buf).unwrap(),
+        Frame::data(0, golden_tx())
+    );
+    assert_eq!(codec::decode_any(&mut buf).unwrap(), resync);
+    assert_eq!(codec::decode_any(&mut buf).unwrap(), data);
+    assert!(buf.is_empty());
+}
+
+#[test]
+fn v1_frames_survive_a_station_restart_byte_for_byte() {
+    // A persistent station fed v1 traffic keeps the original v1 bytes in
+    // its store, and after a restart reconstructs exactly what the same
+    // transmissions sent as v2 reconstruct.
+    let dir = std::env::temp_dir().join(format!("sbr-wire-v1-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut enc = SbrEncoder::new(2, 64, SbrConfig::new(48, 48)).expect("config");
+    let txs: Vec<Transmission> = (0..12)
+        .map(|c| {
+            let rows: Vec<Vec<f64>> = (0..2)
+                .map(|r| {
+                    (0..64)
+                        .map(|i| ((i + c * 64) as f64 * 0.17 + r as f64).sin() * 4.0)
+                        .collect()
+                })
+                .collect();
+            enc.encode(&rows).expect("encode")
+        })
+        .collect();
+    let v1_frames: Vec<Bytes> = txs.iter().map(|tx| Bytes::from(v1::frame(tx))).collect();
+    {
+        // Small segments: the restart resumes from a checkpoint and
+        // replays only the tail, so both recovery paths see v1 bytes.
+        let station = BaseStation::with_persistence(&dir).with_segment_size(1024);
+        for f in &v1_frames {
+            station.receive(3, f.clone()).expect("v1 ingest");
+        }
+    }
+    let v2_station = BaseStation::new();
+    for tx in &txs {
+        let frame = codec::encode_v2(&Frame::data(0, tx.clone()));
+        v2_station.receive(3, frame).expect("v2 ingest");
+    }
+
+    let loaded = BaseStation::load(&dir).expect("restart");
+    assert!(
+        loaded.cold_chunks(3) > 0,
+        "restart must resume from a checkpoint"
+    );
+    assert_eq!(loaded.raw_frames(3), v1_frames, "v1 frames stay v1");
+    assert!(loaded
+        .frames(3)
+        .expect("parse")
+        .iter()
+        .all(|f| f.kind == FrameKind::Data && f.epoch == 0));
+    let n = txs.len();
+    assert_eq!(
+        loaded.reconstruct_chunks(3, 0, n).expect("v1 reconstruct"),
+        v2_station
+            .reconstruct_chunks(3, 0, n)
+            .expect("v2 reconstruct")
+    );
+    std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
 #[test]
@@ -177,7 +292,9 @@ fn old_frames_still_decode() {
     raw.extend((-1i64).to_le_bytes()); // shift
     raw.extend(2.0f64.to_le_bytes()); // a
     raw.extend(5.0f64.to_le_bytes()); // b
-    let tx = codec::decode(&mut &raw[..]).expect("v1 frame must decode");
+    let frame = codec::decode_any(&mut &raw[..]).expect("v1 frame must decode");
+    assert_eq!((frame.kind, frame.epoch), (FrameKind::Data, 0));
+    let tx = frame.tx;
     assert_eq!(tx.intervals.len(), 1);
     assert_eq!(tx.intervals[0].b, 5.0);
     // And it reconstructs: ŷ = 2i + 5 over 2 samples.
